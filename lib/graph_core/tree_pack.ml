@@ -11,6 +11,11 @@
    unowned edge into some forest, cascading swaps along a shortest
    alternating path), which reaches the Nash-Williams/Tutte optimum —
    so whenever ⌊k/2⌋ disjoint spanning trees exist, they are found.
+   One union-find pass over the edges makes every insertion that needs
+   no swap, the forests are rooted once in O(count·n + m), and each
+   remaining augmenting path costs a search that stops at its first
+   hit plus a re-hang of only the forest pieces it moved (see
+   [complete]).
 
    Packing can be masked: an optional membership mask restricts the
    span to a vertex subset and an optional usability predicate vetoes
@@ -20,10 +25,9 @@
    without starting the search over: it drops the invalidated tree
    edges, greedily reconnects each tree's components through
    still-unowned usable edges, and when greedy stalls finishes with
-   the same augmenting search seeded from the surviving assignment —
-   one augmenting path per missing edge, so [None] (caller re-packs,
-   possibly backing the count off) only means the count is no longer
-   feasible under the new masks. *)
+   the same augmenting search seeded from the surviving assignment, so
+   [None] (caller re-packs, possibly backing the count off) only means
+   the count is no longer feasible under the new masks. *)
 
 type t = {
   source : int;
@@ -46,19 +50,36 @@ let n t = t.n
 
 let members t = t.members
 
-let parent t ~tree v = t.parent.((tree * t.n) + v)
+(* the flat arrays would silently read another tree's slot for an
+   out-of-range vertex, so every accessor checks its indices *)
+let check_tree fn t tree =
+  if tree < 0 || tree >= t.count then invalid_arg ("Tree_pack." ^ fn ^ ": tree out of range")
 
-let depth t ~tree v = t.depth.((tree * t.n) + v)
+let check_vertex fn t tree v =
+  check_tree fn t tree;
+  if v < 0 || v >= t.n then invalid_arg ("Tree_pack." ^ fn ^ ": vertex out of range")
 
-let max_depth t ~tree = t.max_depths.(tree)
+let parent t ~tree v =
+  check_vertex "parent" t tree v;
+  t.parent.((tree * t.n) + v)
+
+let depth t ~tree v =
+  check_vertex "depth" t tree v;
+  t.depth.((tree * t.n) + v)
+
+let max_depth t ~tree =
+  check_tree "max_depth" t tree;
+  t.max_depths.(tree)
 
 let iter_children t ~tree ~node f =
+  check_vertex "iter_children" t tree node;
   let base = tree * (t.n + 1) in
   for i = t.child_off.(base + node) to t.child_off.(base + node + 1) - 1 do
     f ~child:t.child.(i) ~eidx:t.child_eidx.(i)
   done
 
 let edges t ~tree =
+  check_tree "edges" t tree;
   let acc = ref [] in
   for v = t.n - 1 downto 0 do
     let p = t.parent.((tree * t.n) + v) in
@@ -250,157 +271,254 @@ let orient csr ~source ~count ~members ~owner ~eu ~ev =
    Reaches the Nash-Williams/Tutte optimum from any forest-valid seed;
    [false] means [count] disjoint spanning trees do not exist. Scan
    orders are fixed (edges ascending, trees ascending), so the result
-   is deterministic in the seed assignment. *)
-let complete csr ~count ~eu ~ev ~owner ~owned ~target =
+   is deterministic in the seed assignment.
+
+   The search is breadth-first from the unowned edges, ascending, and
+   returns the first edge in queue order that joins two components of
+   some forest other than its own (the lowest such forest). Three
+   facts make it incremental without changing a single choice:
+   - while a direct insertion (a path of length one) exists, the
+     search returns the smallest unowned edge that has one, into its
+     lowest possible forest, and a longer path never re-enables one —
+     the unowned set only shrinks, and only the goal forest's vertex
+     partition changes, by one merge. So one ascending union-find pass
+     does every direct insertion up front;
+   - each forest is rooted at its components' smallest vertices (the
+     ascending root scan of [rebuild_forests]), which makes its
+     parent/depth arrays a function of its edge set alone. After a
+     path, re-hanging the subtree below every removed edge, plus the
+     goal forest's merged component with the larger root, reproduces a
+     full rebuild, so [rebuild_forests] runs once;
+   - the forests do not change during a search, so testing each edge
+     for insertion as it is enqueued finds the same goal with the same
+     predecessor chain, and the search stops there. *)
+let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
   let n = Csr.n csr in
   let m = Array.length eu in
-  let queue = Array.make (max 1 n) 0 in
-  (* scratch for the per-augmentation forest structures *)
-  let comp = Array.make (count * n) (-1) in
-  let fparent = Array.make (count * n) (-1) in
-  let fpedge = Array.make (count * n) (-1) in
-  let fdepth = Array.make (count * n) 0 in
-  let adj_off = Array.make ((count * n) + 1) 0 in
-  let adj_v = Array.make (2 * max 1 target) 0 in
-  let adj_e = Array.make (2 * max 1 target) 0 in
-  let cursor = Array.make (count * n) 0 in
-  let rebuild_forests () =
-    Array.fill adj_off 0 (Array.length adj_off) 0;
-    for e = 0 to m - 1 do
-      let o = owner.(e) in
-      if o >= 0 then begin
-        let bu = (o * n) + eu.(e) and bv = (o * n) + ev.(e) in
-        adj_off.(bu + 1) <- adj_off.(bu + 1) + 1;
-        adj_off.(bv + 1) <- adj_off.(bv + 1) + 1
-      end
-    done;
-    for i = 1 to count * n do
-      adj_off.(i) <- adj_off.(i) + adj_off.(i - 1)
-    done;
-    Array.blit adj_off 0 cursor 0 (count * n);
-    for e = 0 to m - 1 do
-      let o = owner.(e) in
-      if o >= 0 then begin
-        let bu = (o * n) + eu.(e) and bv = (o * n) + ev.(e) in
-        adj_v.(cursor.(bu)) <- ev.(e);
-        adj_e.(cursor.(bu)) <- e;
-        cursor.(bu) <- cursor.(bu) + 1;
-        adj_v.(cursor.(bv)) <- eu.(e);
-        adj_e.(cursor.(bv)) <- e;
-        cursor.(bv) <- cursor.(bv) + 1
-      end
-    done;
-    Array.fill comp 0 (count * n) (-1);
-    for t = 0 to count - 1 do
-      let base = t * n in
-      for root = 0 to n - 1 do
-        if comp.(base + root) < 0 then begin
-          comp.(base + root) <- root;
-          fparent.(base + root) <- -1;
-          fpedge.(base + root) <- -1;
-          fdepth.(base + root) <- 0;
-          let head = ref 0 and tail = ref 0 in
-          queue.(!tail) <- root;
-          incr tail;
-          while !head < !tail do
-            let u = queue.(!head) in
-            incr head;
-            for i = adj_off.(base + u) to adj_off.(base + u + 1) - 1 do
-              let v = adj_v.(i) in
-              if comp.(base + v) < 0 then begin
-                comp.(base + v) <- root;
-                fparent.(base + v) <- u;
-                fpedge.(base + v) <- adj_e.(i);
-                fdepth.(base + v) <- fdepth.(base + u) + 1;
-                queue.(!tail) <- v;
-                incr tail
-              end
-            done
-          done
-        end
-      done
-    done
-  in
-  (* visit every forest-[t] edge on the path between u and v (both in
-     the same component, so the tree path exists) *)
-  let path_edges t u v f =
-    let base = t * n in
-    let a = ref u and b = ref v in
-    while !a <> !b do
-      if fdepth.(base + !a) >= fdepth.(base + !b) then begin
-        f fpedge.(base + !a);
-        a := fparent.(base + !a)
-      end
-      else begin
-        f fpedge.(base + !b);
-        b := fparent.(base + !b)
-      end
-    done
-  in
-  let pred = Array.make (max 1 m) (-1) in
-  let seen = Array.make (max 1 m) false in
-  let equeue = Array.make (max 1 m) 0 in
+  let lo, nbr = row_accessors csr in
   let owned = ref owned in
-  let augment () =
-    rebuild_forests ();
-    Array.fill seen 0 m false;
-    let head = ref 0 and tail = ref 0 in
-    for e = 0 to m - 1 do
-      if owner.(e) = -1 then begin
-        seen.(e) <- true;
-        pred.(e) <- -1;
-        equeue.(!tail) <- e;
-        incr tail
-      end
-    done;
-    let goal = ref (-1) and goal_tree = ref (-1) in
-    while !head < !tail && !goal < 0 do
-      let e = equeue.(!head) in
-      incr head;
-      let u = eu.(e) and v = ev.(e) in
-      let t = ref 0 in
-      while !t < count && !goal < 0 do
-        let i = !t in
-        if i <> owner.(e) then begin
-          if comp.((i * n) + u) <> comp.((i * n) + v) then begin
-            goal := e;
-            goal_tree := i
-          end
-          else
-            path_edges i u v (fun f ->
-                if not seen.(f) then begin
-                  seen.(f) <- true;
-                  pred.(f) <- e;
-                  equeue.(!tail) <- f;
-                  incr tail
-                end)
-        end;
-        incr t
-      done
-    done;
-    if !goal < 0 then false
+  (* forest [t] keeps vertex [v] at [t * n + v]; until the forests are
+     rooted, [comp] is a union-find parent array *)
+  let comp = Array.init (count * n) Fun.id in
+  let rec find x =
+    let p = comp.(x) in
+    if p = x then x
     else begin
-      (* cascade the swaps back along the shortest alternating path *)
-      let cur = ref !goal and give = ref !goal_tree in
-      let continue = ref true in
-      while !continue do
-        let old = owner.(!cur) in
-        owner.(!cur) <- !give;
-        if old < 0 then continue := false
-        else begin
-          give := old;
-          cur := pred.(!cur)
-        end
-      done;
-      incr owned;
-      true
+      comp.(x) <- comp.(p);
+      find comp.(x)
     end
   in
-  let feasible = ref true in
-  while !feasible && !owned < target do
-    if not (augment ()) then feasible := false
+  for e = 0 to m - 1 do
+    let o = owner.(e) in
+    if o >= 0 then comp.(find ((o * n) + eu.(e))) <- find ((o * n) + ev.(e))
   done;
-  !feasible
+  (* every direct insertion, in the order the search would take them *)
+  let e = ref 0 in
+  while !owned < target && !e < m do
+    if owner.(!e) = -1 then begin
+      let t = ref 0 in
+      while !t < count do
+        let ru = find ((!t * n) + eu.(!e)) and rv = find ((!t * n) + ev.(!e)) in
+        if ru <> rv then begin
+          comp.(ru) <- rv;
+          owner.(!e) <- !t;
+          incr owned;
+          t := count
+        end
+        else incr t
+      done
+    end;
+    incr e
+  done;
+  if !owned >= target then true
+  else begin
+    let fparent = Array.make (count * n) (-1) in
+    let fpedge = Array.make (count * n) (-1) in
+    let fdepth = Array.make (count * n) 0 in
+    (* a vertex whose place in its forest is being recomputed has stamp
+       [pending], [pending + 1] once hung; lower stamps are settled *)
+    let stamp = Array.make (count * n) 0 in
+    let pending = ref 0 in
+    let queue = Array.make (max 1 n) 0 in
+    let hang_under base v u f =
+      stamp.(base + v) <- !pending + 1;
+      comp.(base + v) <- comp.(base + u);
+      fparent.(base + v) <- u;
+      fpedge.(base + v) <- f;
+      fdepth.(base + v) <- fdepth.(base + u) + 1
+    in
+    (* BFS below [root] over forest [t]'s edges, hanging every pending
+       vertex it reaches *)
+    let hang t root =
+      let base = t * n in
+      let head = ref 0 and tail = ref 1 in
+      queue.(0) <- root;
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        for i = lo u to lo (u + 1) - 1 do
+          let f = und_of_slot.(i) and w = nbr i in
+          if owner.(f) = t && stamp.(base + w) = !pending then begin
+            hang_under base w u f;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
+      done
+    in
+    let rebuild_forests () =
+      for t = 0 to count - 1 do
+        let base = t * n in
+        for root = 0 to n - 1 do
+          if stamp.(base + root) = !pending then begin
+            stamp.(base + root) <- !pending + 1;
+            comp.(base + root) <- root;
+            fparent.(base + root) <- -1;
+            fpedge.(base + root) <- -1;
+            fdepth.(base + root) <- 0;
+            hang t root
+          end
+        done
+      done
+    in
+    rebuild_forests ();
+    (* [detached] lists the pending slots of one path's update *)
+    let detached = Array.make (count * n) 0 in
+    let ndetached = ref 0 in
+    (* mark [top] and its subtree in forest [t] pending; a child is the
+       neighbour whose parent edge is the shared edge *)
+    let detach t top =
+      let base = t * n in
+      if stamp.(base + top) < !pending then begin
+        stamp.(base + top) <- !pending;
+        detached.(!ndetached) <- base + top;
+        let j = ref !ndetached in
+        incr ndetached;
+        while !j < !ndetached do
+          let u = detached.(!j) - base in
+          incr j;
+          for i = lo u to lo (u + 1) - 1 do
+            let w = nbr i in
+            if fpedge.(base + w) = und_of_slot.(i) && stamp.(base + w) < !pending then begin
+              stamp.(base + w) <- !pending;
+              detached.(!ndetached) <- base + w;
+              incr ndetached
+            end
+          done
+        done
+      end
+    in
+    (* each pending piece meets the settled rest of its component in
+       exactly one forest edge: hang the piece from there *)
+    let rehang () =
+      for j = 0 to !ndetached - 1 do
+        let x = detached.(j) in
+        if stamp.(x) = !pending then begin
+          let t = x / n and v = x mod n in
+          let base = t * n in
+          for i = lo v to lo (v + 1) - 1 do
+            let f = und_of_slot.(i) and w = nbr i in
+            if owner.(f) = t && stamp.(base + w) < !pending then hang_under base v w f
+          done;
+          if stamp.(x) > !pending then hang t v
+        end
+      done
+    in
+    (* lowest forest other than its own that [f] would join two
+       components of, or -1 *)
+    let insertable f =
+      let hit = ref (-1) and t = ref 0 in
+      while !hit < 0 && !t < count do
+        if !t <> owner.(f) && comp.((!t * n) + eu.(f)) <> comp.((!t * n) + ev.(f)) then hit := !t;
+        incr t
+      done;
+      !hit
+    in
+    (* the search queue starts with the unowned edges, ascending; they
+       stay at its head from one search to the next *)
+    let equeue = Array.make (max 1 m) 0 in
+    let nseeds = ref 0 in
+    for e = 0 to m - 1 do
+      if owner.(e) = -1 then begin
+        equeue.(!nseeds) <- e;
+        incr nseeds
+      end
+    done;
+    let pred = Array.make (max 1 m) (-1) in
+    let seen = Array.make (max 1 m) 0 in
+    let search = ref 0 in
+    let augment () =
+      incr search;
+      let head = ref 0 and tail = ref !nseeds in
+      let goal = ref (-1) and goal_tree = ref (-1) in
+      while !goal < 0 && !head < !tail do
+        let e = equeue.(!head) in
+        incr head;
+        (* [e] joins no two components of another forest, so its
+           endpoints are linked in each: enqueue that tree path *)
+        let t = ref 0 in
+        while !goal < 0 && !t < count do
+          if !t <> owner.(e) then begin
+            let base = !t * n in
+            let a = ref eu.(e) and b = ref ev.(e) in
+            while !goal < 0 && !a <> !b do
+              let x = if fdepth.(base + !a) >= fdepth.(base + !b) then a else b in
+              let f = fpedge.(base + !x) in
+              x := fparent.(base + !x);
+              if seen.(f) <> !search then begin
+                seen.(f) <- !search;
+                pred.(f) <- e;
+                equeue.(!tail) <- f;
+                incr tail;
+                let h = insertable f in
+                if h >= 0 then begin
+                  goal := f;
+                  goal_tree := h
+                end
+              end
+            done
+          end;
+          incr t
+        done
+      done;
+      if !goal < 0 then false
+      else begin
+        (* cascade the swaps back along the shortest alternating path,
+           detaching the old subtree below every edge a forest loses,
+           then the goal forest's component with the larger root *)
+        pending := !pending + 2;
+        ndetached := 0;
+        let cur = ref !goal and give = ref !goal_tree and seed = ref (-1) in
+        while !seed < 0 do
+          let old = owner.(!cur) in
+          owner.(!cur) <- !give;
+          if old < 0 then seed := !cur
+          else begin
+            let u = eu.(!cur) in
+            detach old (if fpedge.((old * n) + u) = !cur then u else ev.(!cur));
+            give := old;
+            cur := pred.(!cur)
+          end
+        done;
+        let gbase = !goal_tree * n in
+        detach !goal_tree (max comp.(gbase + eu.(!goal)) comp.(gbase + ev.(!goal)));
+        rehang ();
+        let i = ref 0 in
+        while equeue.(!i) <> !seed do
+          incr i
+        done;
+        Array.blit equeue (!i + 1) equeue !i (!nseeds - !i - 1);
+        decr nseeds;
+        incr owned;
+        true
+      end
+    in
+    let feasible = ref true in
+    while !feasible && !owned < target do
+      if not (augment ()) then feasible := false
+    done;
+    !feasible
+  end
 
 (* One packing attempt at a fixed tree count; [None] when the union of
    forests cannot reach count spanning trees (then the caller retries
@@ -493,7 +611,7 @@ let attempt csr ~source ~count ~eu ~ev ~und_of_slot ~allowed ~members =
     done
   done;
   (* phase 2: matroid-union augmentation until every forest spans *)
-  if not (complete csr ~count ~eu ~ev ~owner ~owned:!owned ~target) then None
+  if not (complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned:!owned ~target) then None
   else orient csr ~source ~count ~members ~owner ~eu ~ev
 
 let members_of ~n ~member =
@@ -734,7 +852,7 @@ let patch t csr ?member ?usable () =
       done;
       if
         !owned < target
-        && not (complete csr ~count:t.count ~eu ~ev ~owner ~owned:!owned ~target)
+        && not (complete csr ~count:t.count ~eu ~ev ~und_of_slot ~owner ~owned:!owned ~target)
       then None
       else orient csr ~source:t.source ~count:t.count ~members ~owner ~eu ~ev
     end

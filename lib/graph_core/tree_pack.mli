@@ -8,6 +8,9 @@
     augmenting-path repair pass when greedy stalls, so the advertised
     count is reached whenever it is feasible; on an infeasible count the
     packer backs off one tree at a time (a disconnected graph raises).
+    The repair makes every swap-free insertion in one union-find pass
+    and roots its forests once; each augmenting path then re-hangs only
+    the forest pieces it moved.
 
     Trees are stored as flat int arrays (parent/depth plus a CSR-style
     child index carrying the {!Csr.edge_index} slot of each parent→child
@@ -27,7 +30,8 @@
     reconnects each broken tree greedily through still-unowned usable
     edges (linear time when that suffices), finishes with the
     augmenting search seeded from the surviving assignment when it
-    does not, and re-orients. [None] from [patch] means the tree count
+    does not (linear set-up, then one path per missing edge), and
+    re-orients. [None] from [patch] means the tree count
     is no longer feasible under the new masks — fall back to a fresh
     masked {!pack}, which also backs the count off. *)
 
@@ -85,6 +89,9 @@ val n : t -> int
 
 val members : t -> int
 (** Number of vertices each tree spans — [n t] for an unmasked pack. *)
+
+(** The accessors below take a tree index in [0, count t) and a vertex
+    in [0, n t); anything else raises [Invalid_argument]. *)
 
 val parent : t -> tree:int -> int -> int
 (** Parent of a vertex in one tree; [-1] at the source (and at
