@@ -161,7 +161,7 @@ let verify c skip_minimality input =
         let check_minimality = not skip_minimality in
         let report = Lhg_core.Verify.verify ~check_minimality ?pool g ~k:c.k in
         Format.printf "%a@." Lhg_core.Verify.pp_report report;
-        if Lhg_core.Verify.is_lhg ~check_minimality ?pool g ~k:c.k then begin
+        if Lhg_core.Verify.verdict report then begin
           print_endline "verdict: this graph is a Logarithmic Harary Graph";
           0
         end
@@ -1154,6 +1154,10 @@ let assemble (c : common) crashes plan_file max_rounds certify =
       | Error e ->
           prerr_endline ("error: " ^ e);
           1
+      | Ok None when crashes < 0 || crashes >= c.n ->
+          (* a usage error, like flood's fault counts *)
+          prerr_endline "error: --crashes must be >= 0 and < n";
+          2
       | Ok plan ->
           (* --crashes F draws F victims from the seed and staggers the
              crashes one gossip round apart, mid-assembly — the same
@@ -1161,9 +1165,6 @@ let assemble (c : common) crashes plan_file max_rounds certify =
           let plan =
             match (plan, crashes) with
             | (Some _ as p), _ | p, 0 -> p
-            | None, f when f >= c.n || f < 0 ->
-                prerr_endline "error: --crashes must be >= 0 and < n";
-                exit 1
             | None, f ->
                 let victims =
                   Graph_core.Prng.sample_without_replacement

@@ -42,15 +42,14 @@ let verify ?(check_minimality = true) ?pool g ~k =
   let k_regular = n > 0 && Degree.is_k_regular g ~k in
   { n; k; node_connected; link_connected; link_minimal; diameter; diameter_ok; k_regular }
 
-let is_lhg ?check_minimality ?pool g ~k =
-  let r = verify ?check_minimality ?pool g ~k in
+let verdict r =
   r.node_connected && r.link_connected
   && (match r.link_minimal with Some b -> b | None -> true)
   && r.diameter_ok
 
-let quick ?pool g ~k =
-  let r = verify ~check_minimality:false ?pool g ~k in
-  r.node_connected && r.link_connected && r.diameter_ok
+let is_lhg ?check_minimality ?pool g ~k = verdict (verify ?check_minimality ?pool g ~k)
+
+let quick ?pool g ~k = verdict (verify ~check_minimality:false ?pool g ~k)
 
 let pp_report fmt r =
   let pp_bool_opt fmt = function

@@ -46,3 +46,16 @@ let registry_graphs ~n ~k ~seed =
       | Ok g -> Some (e.Topo.Registry.name, g)
       | Error _ -> None)
     Topo.Registry.all
+
+(* A copy of [g] with [count] uniformly drawn edges deleted, one at a
+   time. *)
+let without_random_edges rng g count =
+  let g = Graph.copy g in
+  for _ = 1 to count do
+    let edges = Array.of_list (Graph.edges g) in
+    if Array.length edges > 0 then begin
+      let u, v = edges.(Graph_core.Prng.int rng (Array.length edges)) in
+      Graph.remove_edge g u v
+    end
+  done;
+  g

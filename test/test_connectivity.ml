@@ -4,6 +4,7 @@ module Connectivity = Graph_core.Connectivity
 module Components = Graph_core.Components
 module Generators = Graph_core.Generators
 module Prng = Graph_core.Prng
+module Csr = Graph_core.Csr
 
 (* Exhaustive reference implementations, usable for small n / m. *)
 
@@ -161,6 +162,94 @@ let prop_decision_agrees_with_exact =
       done;
       !ok)
 
+(* The prefix-order decisions against the exact values: true at
+   k = κ (λ), false at k = κ + 1 (λ + 1), on both CSR backends. *)
+let decisions_match_exact g =
+  let kappa = Connectivity.vertex_connectivity g in
+  let lambda = Connectivity.edge_connectivity g in
+  List.for_all
+    (fun csr ->
+      Connectivity.is_k_vertex_connected_csr csr ~k:kappa
+      && (not (Connectivity.is_k_vertex_connected_csr csr ~k:(kappa + 1)))
+      && Connectivity.is_k_edge_connected_csr csr ~k:lambda
+      && not (Connectivity.is_k_edge_connected_csr csr ~k:(lambda + 1)))
+    [ Csr.of_graph g; Csr.of_graph ~big:true g ]
+
+let prop_decision_matches_exact_gnp =
+  qcheck ~count:150 "decisions = exact values at kappa, kappa+1 (gnp, n <= 40)"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rngv = Prng.create ~seed in
+      let n = 1 + Prng.int rngv 40 in
+      let p = 0.05 +. Prng.float rngv 0.85 in
+      decisions_match_exact (Generators.gnp rngv ~n ~p))
+
+(* Two dense G(n,p) blobs joined only through [c] bridge vertices, the
+   labels shuffled: the small cut can fall anywhere in the BFS order,
+   including between two of its first k vertices. *)
+let prop_decision_matches_exact_planted =
+  qcheck ~count:100 "decisions = exact values on planted small vertex cuts"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rngv = Prng.create ~seed in
+      let half = 3 + Prng.int rngv 10 and c = 1 + Prng.int rngv 5 in
+      let p = 0.5 +. Prng.float rngv 0.5 in
+      let n = (2 * half) + c in
+      let side x = if x < half then 0 else if x < 2 * half then 1 else 2 in
+      let perm = Prng.permutation rngv n in
+      let edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let keep =
+            if side u = 2 || side v = 2 then side u <> side v && Prng.float rngv 1.0 < 0.7
+            else side u = side v && Prng.float rngv 1.0 < p
+          in
+          if keep then edges := (perm.(u), perm.(v)) :: !edges
+        done
+      done;
+      decisions_match_exact (Graph.of_edges ~n !edges))
+
+let prop_decision_matches_exact_registry =
+  qcheck ~count:6 "decisions = exact values on every registry family, 1-3 edges deleted"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rngv = Prng.create ~seed in
+      List.for_all
+        (fun (n, k) ->
+          List.for_all
+            (fun (_, g) -> decisions_match_exact (without_random_edges rngv g (1 + Prng.int rngv 3)))
+            (registry_graphs ~n ~k ~seed))
+        [ (46, 4); (98, 3) ])
+
+(* Two kdiamond n = 4098 copies joined through three bridge vertices,
+   each with two edges into either copy: minimum degree 4 and every
+   edge cut at least 4, but the bridges are a 3-vertex cut. *)
+let planted_three_cut () =
+  let half = 4098 in
+  let copy = (Lhg_core.Build.kdiamond_exn ~n:half ~k:4).Lhg_core.Build.graph in
+  let g = Graph.create ~n:((2 * half) + 3) in
+  Graph.iter_edges copy (fun u v ->
+      Graph.add_edge g u v;
+      Graph.add_edge g (u + half) (v + half));
+  for b = 0 to 2 do
+    let bridge = (2 * half) + b in
+    List.iter (fun w -> Graph.add_edge g bridge w) [ 1 + (2 * b); 2 + (2 * b) ];
+    List.iter (fun w -> Graph.add_edge g bridge (half + w)) [ 100 + (2 * b); 101 + (2 * b) ]
+  done;
+  g
+
+let test_decisions_at_scale () =
+  let csr = Csr.of_graph (Lhg_core.Build.kdiamond_exn ~n:16386 ~k:4).Lhg_core.Build.graph in
+  check_bool "kdiamond n=16386 kappa >= 4" true (Connectivity.is_k_vertex_connected_csr csr ~k:4);
+  check_bool "kdiamond n=16386 lambda >= 4" true (Connectivity.is_k_edge_connected_csr csr ~k:4);
+  check_bool "kdiamond n=16386 kappa >= 5" false (Connectivity.is_k_vertex_connected_csr csr ~k:5);
+  check_bool "kdiamond n=16386 lambda >= 5" false (Connectivity.is_k_edge_connected_csr csr ~k:5);
+  let g = planted_three_cut () in
+  check_int "planted n" 8199 (Graph.n g);
+  let csr = Csr.of_graph g in
+  check_bool "planted kappa >= 3" true (Connectivity.is_k_vertex_connected_csr csr ~k:3);
+  check_bool "planted kappa >= 4" false (Connectivity.is_k_vertex_connected_csr csr ~k:4);
+  check_bool "planted lambda >= 4" true (Connectivity.is_k_edge_connected_csr csr ~k:4)
 
 let test_min_edge_cut_witness () =
   let g = barbell () in
@@ -238,4 +327,8 @@ let suite =
     prop_vertex_connectivity_matches_brute;
     prop_edge_connectivity_matches_brute;
     prop_decision_agrees_with_exact;
+    prop_decision_matches_exact_gnp;
+    prop_decision_matches_exact_planted;
+    prop_decision_matches_exact_registry;
+    Alcotest.test_case "decisions at n=16386 and a planted 3-cut" `Slow test_decisions_at_scale;
   ]

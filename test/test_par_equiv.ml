@@ -87,8 +87,8 @@ let prop_k_connectivity_equiv =
         (pools ()))
 
 let prop_k_connectivity_equiv_structured =
-  (* dense/complete-ish fixtures hit the is_complete and min-degree
-     short-circuits of the parallel path *)
+  (* dense/complete-ish fixtures hit the min-degree short-circuit and
+     probes settled by direct edges alone *)
   qcheck ~count:15 "decision equivalence on structured graphs"
     QCheck2.Gen.(int_range 2 6)
     (fun k ->
@@ -103,6 +103,26 @@ let prop_k_connectivity_equiv_structured =
               && Connectivity.is_k_edge_connected_csr ?pool csr ~k = ee)
             (pools ()))
         [ Generators.complete 8; Generators.cycle 9; petersen (); Generators.star 7 ])
+
+let prop_k_connectivity_equiv_damaged =
+  (* LHG constructions with 0-3 random edges deleted: both passing and
+     failing probes, spread over many domains' workspaces *)
+  qcheck ~count:10 "decision equivalence on damaged LHGs"
+    QCheck2.Gen.(pair (int_range 3 5) (int_bound 10_000))
+    (fun (degree, seed) ->
+      let rng = Graph_core.Prng.create ~seed in
+      let g = (Lhg_core.Build.kdiamond_exn ~n:(90 + (seed mod 40)) ~k:degree).Lhg_core.Build.graph in
+      let csr = Csr.of_graph (without_random_edges rng g (Graph_core.Prng.int rng 4)) in
+      List.for_all
+        (fun k ->
+          let ev = Connectivity.is_k_vertex_connected_csr csr ~k in
+          let ee = Connectivity.is_k_edge_connected_csr csr ~k in
+          List.for_all
+            (fun (_, pool) ->
+              Connectivity.is_k_vertex_connected_csr ?pool csr ~k = ev
+              && Connectivity.is_k_edge_connected_csr ?pool csr ~k = ee)
+            (pools ()))
+        [ degree - 1; degree ])
 
 let prop_flood_delivery_equiv =
   qcheck ~count:8 "flood_delivery bit-identical at 1/2/4 domains"
@@ -185,6 +205,7 @@ let suite =
     prop_link_minimal_equiv;
     prop_k_connectivity_equiv;
     prop_k_connectivity_equiv_structured;
+    prop_k_connectivity_equiv_damaged;
     prop_flood_delivery_equiv;
     prop_chaos_audit_equiv;
     Alcotest.test_case "verify report equal" `Quick test_verify_equiv;
