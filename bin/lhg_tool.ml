@@ -936,7 +936,7 @@ let traffic (c : common) (tc : Scenario.traffic) =
       1
   | Ok plan ->
       with_graph c (fun g ->
-          match Traffic.Workload.validate workload ~n:(Graph_core.Graph.n g) with
+          match Scenario.validate_traffic tc ~n:(Graph_core.Graph.n g) with
           | Error e ->
               prerr_endline ("error: " ^ e);
               1

@@ -40,14 +40,47 @@ let coverage_of ~delivered ~crashed ~n =
   done;
   float_of_int !covered /. float_of_int (max 1 !alive)
 
-(* Exact percentile of a non-empty trial sample: the smallest value
-   such that at least ⌈q·n⌉ samples are ≤ it. *)
-let percentile_of sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
+(* Exact percentile by selection: the sample of rank [max 1 ⌈q·len⌉]
+   in ascending order, found with a three-way quickselect that permutes
+   [a.(0 .. len-1)] in place. Heavy ties cost nothing extra: a pivot's
+   whole run of equal values leaves the search in one pass. Pivots come
+   from a fixed-seed generator, so the expected cost is O(len) on any
+   input and the reordering is deterministic. *)
+let percentile a ~len q =
+  if len < 0 || len > Array.length a then invalid_arg "Runner.percentile: len outside the array";
+  if len = 0 then 0.0
   else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
-    sorted.(min (n - 1) (rank - 1))
+    let k = min (len - 1) (max 1 (int_of_float (ceil (q *. float_of_int len))) - 1) in
+    let lo = ref 0 and hi = ref len and rng = ref len in
+    (* invariant: a.(0 .. lo-1) <= a.(lo .. hi-1) <= a.(hi .. len-1), k in [lo, hi) *)
+    while !hi - !lo > 1 do
+      rng := (!rng * 0x5DEECE66D) + 11;
+      let v = a.(!lo + ((!rng lsr 17) mod (!hi - !lo))) in
+      (* a.(lo .. lt-1) < v, a.(lt .. i-1) = v, a.(gt+1 .. hi-1) > v *)
+      let lt = ref !lo and i = ref !lo and gt = ref (!hi - 1) in
+      while !i <= !gt do
+        let x = Array.unsafe_get a !i in
+        if x < v then begin
+          Array.unsafe_set a !i (Array.unsafe_get a !lt);
+          Array.unsafe_set a !lt x;
+          incr lt;
+          incr i
+        end
+        else if x > v then begin
+          Array.unsafe_set a !i (Array.unsafe_get a !gt);
+          Array.unsafe_set a !gt x;
+          decr gt
+        end
+        else incr i
+      done;
+      if k < !lt then hi := !lt
+      else if k > !gt then lo := !gt + 1
+      else begin
+        lo := k;
+        hi := k + 1
+      end
+    done;
+    a.(k)
   end
 
 (* Per-trial hop histograms accumulate in [obs] under "flood.hops"
@@ -73,11 +106,8 @@ let aggregate_of ~obs results =
   let ft = float_of_int trials in
   let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 results in
   let covs = List.map (fun (c, _, _, _) -> c) results in
-  let completions =
-    let a = Array.of_list (List.map (fun (_, _, t, _) -> t) results) in
-    Array.sort compare a;
-    a
-  in
+  let completions = Array.of_list (List.map (fun (_, _, t, _) -> t) results) in
+  let len = Array.length completions in
   {
     trials;
     mean_coverage = sum (fun (c, _, _, _) -> c) /. ft;
@@ -87,9 +117,9 @@ let aggregate_of ~obs results =
     mean_messages = sum (fun (_, m, _, _) -> float_of_int m) /. ft;
     mean_completion = sum (fun (_, _, t, _) -> t) /. ft;
     mean_max_hops = sum (fun (_, _, _, h) -> float_of_int h) /. ft;
-    p50_completion = percentile_of completions 0.50;
-    p95_completion = percentile_of completions 0.95;
-    p99_completion = percentile_of completions 0.99;
+    p50_completion = percentile completions ~len 0.50;
+    p95_completion = percentile completions ~len 0.95;
+    p99_completion = percentile completions ~len 0.99;
     hop_counts = hop_counts_of_registry obs;
   }
 

@@ -22,6 +22,17 @@ type aggregate = {
           the caller passes a disabled registry. *)
 }
 
+val percentile : float array -> len:int -> float -> float
+(** [percentile a ~len q] is the exact [q]-percentile of the samples
+    [a.(0 .. len-1)]: the smallest sample such that at least
+    [max 1 ⌈q·len⌉] samples are ≤ it, i.e. [sorted.(min (len-1) (max 1
+    ⌈q·len⌉ - 1))]; [0.0] when [len = 0]. It selects instead of
+    sorting — a three-way quickselect in expected O(len) time with no
+    working storage — and so permutes [a.(0 .. len-1)] in place;
+    further calls on the same prefix see the same multiset and answer
+    the same. Samples must not be NaN. @raise Invalid_argument if [len]
+    is outside [0, Array.length a]. *)
+
 val random_crashes : Graph_core.Prng.t -> n:int -> count:int -> avoid:int -> int list
 (** [count] distinct crash victims among [0..n-1] − \{avoid\}. *)
 

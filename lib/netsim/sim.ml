@@ -32,29 +32,38 @@ let tag_mask = (1 lsl tag_bits) - 1
    bucket's ids into [serving] (this year) and the compacted remainder
    (later years, same bucket modulo nbuckets). [serving] is kept sorted
    lazily: appends that arrive already in (time, seq) order — the
-   steady state of constant-latency flooding — never trigger a sort. *)
+   steady state of constant-latency flooding — never trigger a sort.
+   Every float the hot path writes lives in a float array, so moving
+   the window or appending allocates nothing. *)
 type calendar = {
   width : float;
   nbuckets : int;  (* rounded up to a power of two *)
   bmask : int;  (* nbuckets - 1 *)
   bdata : int array array;  (* per-bucket event ids; inner arrays grow by doubling *)
   blen : int array;
+  mutable spare : int array;  (* a drained bucket's array, for the next empty bucket to fill *)
   mutable year : int;
-  mutable w0 : float;  (* width *. year — cached window bounds *)
-  mutable w1 : float;  (* width *. (year + 1) *)
-  mutable w2 : float;  (* width *. (year + 2): the next window, the steady-state insert target *)
-  lt : float array;  (* length 1: time of the last serving append (float-array cell, unboxed) *)
+  win : float array;
+      (* cached window bounds: width *. year, width *. (year + 1) and
+         width *. (year + 2), the next window (the steady-state insert target) *)
+  lt : float array;  (* length 1: time of the last serving append *)
   mutable last_id : int;  (* id of that append, for (time, seq) tie checks *)
   mutable serving : int array;
   mutable serve_len : int;
   mutable serve_pos : int;
   mutable sorted : bool;  (* [serving.(serve_pos .. serve_len-1)] ascending? *)
+  (* [cal_sort]'s flat copy of the unsorted window's keys and ids, grown
+     to the largest window sorted so far. Per calendar, not global:
+     simulators run on several domains at once. *)
+  mutable key_time : float array;
+  mutable key_seq : int array;
+  mutable key_id : int array;
 }
 
 type queue = Cal of calendar | Hp of (float * int * int) Pqueue.t
 
 type t = {
-  mutable clock : float;
+  mutable clock : float;  (* boxed, but replaced only when time moves: see [set_clock] *)
   mutable next_seq : int;
   mutable processed : int;
   mutable pending : int;
@@ -109,16 +118,18 @@ let create ?(seed = 0x51) ?(obs = Obs.Registry.nil) ?(engine = Calendar)
             bmask = nbuckets - 1;
             bdata = Array.make nbuckets [||];
             blen = Array.make nbuckets 0;
+            spare = [||];
             year = 0;
-            w0 = 0.0;
-            w1 = bucket_width;
-            w2 = bucket_width *. 2.0;
+            win = [| 0.0; bucket_width; bucket_width *. 2.0 |];
             lt = [| 0.0 |];
             last_id = -1;
             serving = [||];
             serve_len = 0;
             serve_pos = 0;
             sorted = true;
+            key_time = [||];
+            key_seq = [||];
+            key_id = [||];
           }
     | Heap ->
         Hp
@@ -154,7 +165,16 @@ let create ?(seed = 0x51) ?(obs = Obs.Registry.nil) ?(engine = Calendar)
 
 let engine t = match t.queue with Cal _ -> Calendar | Hp _ -> Heap
 
+(* [now] hands callers the clock's existing box, so reading the time
+   never allocates. The box is replaced only when an event moves the
+   time; events that share an instant, like a round of a unit-latency
+   flood, leave it alone. The zero test keeps an event at -0.0 from
+   reading as +0.0. *)
 let now t = t.clock
+
+let[@inline] set_clock t time =
+  let c = t.clock in
+  if time <> c || (time = 0.0 && Float.sign_bit time <> Float.sign_bit c) then t.clock <- time
 
 let rng t = t.rng
 
@@ -196,7 +216,9 @@ let add_chunk t =
   done;
   t.free_top <- chunk_len
 
-let alloc_event t ~time =
+(* [@inline] here and down the insert path keeps the event time
+   unboxed from the scheduling call to the pool and the calendar *)
+let[@inline] alloc_event t ~time =
   if t.free_top = 0 then add_chunk t;
   let p = t.free_top - 1 in
   t.free_top <- p;
@@ -234,26 +256,35 @@ let alloc_cb t cb =
 
 (* -- calendar queue ----------------------------------------------------- *)
 
-let ev_less t a b =
-  let ta = time_of t a and tb = time_of t b in
-  ta < tb || (ta = tb && seq_of t a < seq_of t b)
-
 (* move the service window to [year], keeping the cached bounds in step.
-   [w2] must equal the [w1] this window computes for [year + 1] exactly —
-   same multiplication, same operands — so the steady-state insert fast
-   path below agrees bit-for-bit with the serving filter. *)
+   [win.(2)] must equal the [win.(1)] this window computes for [year + 1]
+   exactly — same multiplication, same operands — so the steady-state
+   insert fast path below agrees bit-for-bit with the serving filter. *)
 let[@inline] cal_set_year cal year =
   cal.year <- year;
-  cal.w0 <- cal.width *. float_of_int year;
-  cal.w1 <- cal.width *. float_of_int (year + 1);
-  cal.w2 <- cal.width *. float_of_int (year + 2)
+  Array.unsafe_set cal.win 0 (cal.width *. float_of_int year);
+  Array.unsafe_set cal.win 1 (cal.width *. float_of_int (year + 1));
+  Array.unsafe_set cal.win 2 (cal.width *. float_of_int (year + 2))
 
+(* an empty bucket takes the spare array before allocating its own, so
+   steady-state windows pass one array along instead of growing a new
+   one per bucket *)
 let cal_push_bucket cal id b =
   let arr = Array.unsafe_get cal.bdata b in
   let len = Array.unsafe_get cal.blen b in
   if len = Array.length arr then begin
-    let narr = Array.make (max 8 (2 * len)) 0 in
-    Array.blit arr 0 narr 0 len;
+    let narr =
+      if len = 0 && Array.length cal.spare > 0 then begin
+        let s = cal.spare in
+        cal.spare <- [||];
+        s
+      end
+      else begin
+        let narr = Array.make (max 8 (2 * len)) 0 in
+        Array.blit arr 0 narr 0 len;
+        narr
+      end
+    in
     cal.bdata.(b) <- narr;
     narr.(len) <- id
   end
@@ -263,7 +294,7 @@ let cal_push_bucket cal id b =
 (* [time] is [time_of t id], already loaded by every caller. The sorted
    check compares against the previous append through the [lt]/[last_id]
    cache, so the monotone fast path never re-reads pool chunks. *)
-let cal_push_serving t cal id time =
+let[@inline] cal_push_serving t cal id time =
   if cal.serve_pos = cal.serve_len then begin
     cal.serve_pos <- 0;
     cal.serve_len <- 0;
@@ -285,12 +316,15 @@ let cal_push_serving t cal id time =
   Array.unsafe_set cal.serving len id;
   cal.serve_len <- len + 1
 
-(* pull this year's events out of the window's home bucket *)
+(* pull this year's events out of the window's home bucket. A bucket
+   drained to empty gives its array up, kept as the spare when it is
+   the largest on offer: otherwise every bucket would hold the largest
+   window it ever saw until the run ends. *)
 let cal_load_bucket t cal =
   let b = cal.year land cal.bmask in
   let len = Array.unsafe_get cal.blen b in
   if len > 0 then begin
-    let w1 = cal.w1 in
+    let w1 = Array.unsafe_get cal.win 1 in
     let arr = Array.unsafe_get cal.bdata b in
     let keep = ref 0 in
     for i = 0 to len - 1 do
@@ -302,7 +336,11 @@ let cal_load_bucket t cal =
         incr keep
       end
     done;
-    Array.unsafe_set cal.blen b !keep
+    Array.unsafe_set cal.blen b !keep;
+    if !keep = 0 then begin
+      if Array.length arr > Array.length cal.spare then cal.spare <- arr;
+      cal.bdata.(b) <- [||]
+    end
   end
 
 (* The service window advanced past [time]'s year (peeks walk it forward
@@ -320,69 +358,116 @@ let cal_rewind t cal time =
   cal_set_year cal (int_of_float (time /. cal.width));
   cal_load_bucket t cal
 
-let cal_insert t cal id =
-  let time = time_of t id in
-  if time < cal.w0 then cal_rewind t cal time;
-  if time < cal.w1 then cal_push_serving t cal id time
-  else if time < cal.w2 then
+let[@inline] cal_insert t cal id time =
+  if time < Array.unsafe_get cal.win 0 then cal_rewind t cal time;
+  if time < Array.unsafe_get cal.win 1 then cal_push_serving t cal id time
+  else if time < Array.unsafe_get cal.win 2 then
     (* next year's window — the steady state of unit-latency flooding;
-       [w2] matches the filter bound bit-for-bit, so no division *)
+       [win.(2)] matches the filter bound bit-for-bit, so no division *)
     cal_push_bucket cal id ((cal.year + 1) land cal.bmask)
   else cal_push_bucket cal id (int_of_float (time /. cal.width) land cal.bmask)
 
-(* sort serving.(serve_pos .. serve_len-1) by (time, seq): quicksort down
-   to short runs, then one insertion pass. Keys are distinct (seq is
-   unique), so strict-less partitioning is safe. *)
-let cal_sort t cal =
-  let a = cal.serving in
-  let rec quick lo hi =
-    if hi - lo > 16 then begin
-      let mid = lo + ((hi - lo) / 2) in
-      let p1 = a.(lo) and p2 = a.(mid) and p3 = a.(hi - 1) in
-      let pivot =
-        if ev_less t p1 p2 then
-          if ev_less t p2 p3 then p2 else if ev_less t p1 p3 then p3 else p1
-        else if ev_less t p1 p3 then p1
-        else if ev_less t p2 p3 then p3
-        else p2
-      in
-      let i = ref lo and j = ref (hi - 1) in
-      while !i <= !j do
-        while ev_less t a.(!i) pivot do
-          incr i
-        done;
-        while ev_less t pivot a.(!j) do
-          decr j
-        done;
-        if !i <= !j then begin
-          let tmp = a.(!i) in
-          a.(!i) <- a.(!j);
-          a.(!j) <- tmp;
-          incr i;
-          decr j
-        end
+(* The sort below works on a flat copy of the window's keys: [kt]/[ks]
+   hold (time, seq) and [ki] the id at each position. The annotations
+   matter: without them the compares and reads compile generically and
+   box every float. *)
+let[@inline] key_less (kt : float array) (ks : int array) i j =
+  let ti = Array.unsafe_get kt i and tj = Array.unsafe_get kt j in
+  ti < tj || (ti = tj && Array.unsafe_get ks i < Array.unsafe_get ks j)
+
+let[@inline] key_swap (kt : float array) (ks : int array) (ki : int array) i j =
+  let t = Array.unsafe_get kt i and s = Array.unsafe_get ks i and d = Array.unsafe_get ki i in
+  Array.unsafe_set kt i (Array.unsafe_get kt j);
+  Array.unsafe_set ks i (Array.unsafe_get ks j);
+  Array.unsafe_set ki i (Array.unsafe_get ki j);
+  Array.unsafe_set kt j t;
+  Array.unsafe_set ks j s;
+  Array.unsafe_set ki j d
+
+(* quicksort positions [lo, hi) down to short runs *)
+let rec key_quick (kt : float array) (ks : int array) ki lo hi =
+  if hi - lo > 16 then begin
+    let mid = lo + ((hi - lo) / 2) and last = hi - 1 in
+    let p =
+      if key_less kt ks lo mid then
+        if key_less kt ks mid last then mid else if key_less kt ks lo last then last else lo
+      else if key_less kt ks lo last then lo
+      else if key_less kt ks mid last then last
+      else mid
+    in
+    let pt = kt.(p) and ps = ks.(p) in
+    let i = ref lo and j = ref last in
+    while !i <= !j do
+      while
+        let x = kt.(!i) in
+        x < pt || (x = pt && ks.(!i) < ps)
+      do
+        incr i
       done;
-      quick lo (!j + 1);
-      quick !i hi
-    end
-  in
-  quick cal.serve_pos cal.serve_len;
-  for i = cal.serve_pos + 1 to cal.serve_len - 1 do
-    let x = a.(i) in
+      while
+        let x = kt.(!j) in
+        pt < x || (pt = x && ps < ks.(!j))
+      do
+        decr j
+      done;
+      if !i <= !j then begin
+        key_swap kt ks ki !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    key_quick kt ks ki lo (!j + 1);
+    key_quick kt ks ki !i hi
+  end
+
+(* sort serving.(serve_pos .. serve_len-1) by (time, seq): copy the
+   window's keys out of the chunked pool once, sort the copy with
+   unboxed compares (quicksort, then one insertion pass), and write the
+   ids back. Keys are distinct (seq is unique), so the sorted order is
+   unique — the same permutation an in-place sort of the ids gives —
+   and strict-less partitioning is safe. *)
+let cal_sort t cal =
+  let lo = cal.serve_pos in
+  let len = cal.serve_len - lo in
+  if Array.length cal.key_id < len then begin
+    let cap = max len (2 * Array.length cal.key_id) in
+    cal.key_time <- Array.create_float cap;
+    cal.key_seq <- Array.make cap 0;
+    cal.key_id <- Array.make cap 0
+  end;
+  let kt = cal.key_time and ks = cal.key_seq and ki = cal.key_id and a = cal.serving in
+  for i = 0 to len - 1 do
+    let id = Array.unsafe_get a (lo + i) in
+    Array.unsafe_set kt i (time_of t id);
+    Array.unsafe_set ks i (seq_of t id);
+    Array.unsafe_set ki i id
+  done;
+  key_quick kt ks ki 0 len;
+  for i = 1 to len - 1 do
+    let xt = Array.unsafe_get kt i and xs = Array.unsafe_get ks i and xi = Array.unsafe_get ki i in
     let j = ref (i - 1) in
-    while !j >= cal.serve_pos && ev_less t x a.(!j) do
-      a.(!j + 1) <- a.(!j);
+    while
+      !j >= 0
+      &&
+      let y = Array.unsafe_get kt !j in
+      xt < y || (xt = y && xs < Array.unsafe_get ks !j)
+    do
+      Array.unsafe_set kt (!j + 1) (Array.unsafe_get kt !j);
+      Array.unsafe_set ks (!j + 1) (Array.unsafe_get ks !j);
+      Array.unsafe_set ki (!j + 1) (Array.unsafe_get ki !j);
       decr j
     done;
-    a.(!j + 1) <- x
+    Array.unsafe_set kt (!j + 1) xt;
+    Array.unsafe_set ks (!j + 1) xs;
+    Array.unsafe_set ki (!j + 1) xi
   done;
+  Array.blit ki 0 a lo len;
   cal.sorted <- true;
   (* the append-monotonicity cache tracks the buffer's last element,
      which the sort has just moved — refresh it or the next append
      would compare against a mid-buffer key and miss an inversion *)
-  let last = a.(cal.serve_len - 1) in
-  Array.unsafe_set cal.lt 0 (time_of t last);
-  cal.last_id <- last
+  Array.unsafe_set cal.lt 0 (Array.unsafe_get kt (len - 1));
+  cal.last_id <- Array.unsafe_get ki (len - 1)
 
 (* the id of the earliest pending event, advancing the service window as
    needed; -1 when the queue is empty. Does not consume. *)
@@ -421,10 +506,10 @@ let cal_locate t cal =
 
 (* -- scheduling --------------------------------------------------------- *)
 
-let enqueue t id =
+let[@inline] enqueue t id time =
   match t.queue with
-  | Cal cal -> cal_insert t cal id
-  | Hp q -> Pqueue.push q (time_of t id, seq_of t id, id)
+  | Cal cal -> cal_insert t cal id time
+  | Hp q -> Pqueue.push q (time, seq_of t id, id)
 
 let[@inline] set_link t id v =
   Array.unsafe_set (Array.unsafe_get t.ev_link (id lsr chunk_bits)) (id land chunk_mask) v
@@ -438,7 +523,7 @@ let schedule_at t ~time callback =
   let id = alloc_event t ~time in
   set_link t id (-1);
   set_tagpay t id slot;
-  enqueue t id
+  enqueue t id time
 
 let schedule t ~delay callback =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
@@ -458,7 +543,7 @@ let[@inline] message_core t ~time ~src ~dst ~tag ~payload =
   let id = alloc_event t ~time in
   set_link t id ((src lsl link_bits) lor dst);
   set_tagpay t id ((payload lsl tag_bits) lor tag);
-  enqueue t id
+  enqueue t id time
 
 let schedule_message t ~time ~src ~dst ~tag ~payload =
   if time < t.clock then invalid_arg "Sim.schedule_message: time is in the past";
@@ -490,7 +575,7 @@ let step t =
   if id < 0 then false
   else begin
     let c = id lsr chunk_bits and o = id land chunk_mask in
-    t.clock <- Array.unsafe_get (Array.unsafe_get t.ev_time c) o;
+    set_clock t (Array.unsafe_get (Array.unsafe_get t.ev_time c) o);
     t.processed <- t.processed + 1;
     if t.counting then Obs.Registry.incr t.m_events;
     let link = Array.unsafe_get (Array.unsafe_get t.ev_link c) o in

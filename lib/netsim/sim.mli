@@ -50,7 +50,8 @@ val create :
 val engine : t -> engine
 
 val now : t -> float
-(** Current virtual time. *)
+(** Current virtual time. Reading it never allocates: the clock is one
+    boxed float that an event replaces only when it moves the time. *)
 
 val rng : t -> Graph_core.Prng.t
 (** The simulation's RNG stream. Draw all protocol randomness from here

@@ -112,6 +112,22 @@ let family_of_topology = function
   | "harary" -> Some Overlay.Membership.Harary_classic
   | _ -> None
 
+let validate_traffic tc ~n =
+  let ( let* ) = Result.bind in
+  let* () =
+    if tc.bands >= 1 && tc.bands <= 4 then Ok () else Error "--bands must be between 1 and 4"
+  in
+  let* () =
+    match tc.capacity with
+    | Some c when not (c > 0.0 && Float.is_finite c) ->
+        Error "--capacity must be a positive finite rate"
+    | _ -> Ok ()
+  in
+  let* () =
+    match tc.queue_cap with Some q when q < 1 -> Error "--queue-cap must be >= 1" | _ -> Ok ()
+  in
+  Workload.validate tc.workload ~n
+
 let validate t =
   let ( let* ) = Result.bind in
   let* _ = Spec.validate t.spec in
@@ -121,16 +137,12 @@ let validate t =
     | None -> Error "scenario supports kinds ktree, kdiamond, jd, harary"
   in
   let* () =
-    if t.traffic.bands >= 1 && t.traffic.bands <= 4 then Ok ()
-    else Error "--bands must be between 1 and 4"
-  in
-  let* () =
     if t.epoch_interval > 0.0 && Float.is_finite t.epoch_interval then Ok ()
     else Error "--epoch-interval must be a positive finite time"
   in
   let* () = if t.controller.batch >= 1 then Ok () else Error "--batch must be >= 1" in
   let* () = if t.controller.steps >= 0 then Ok () else Error "--steps must be >= 0" in
-  Workload.validate t.traffic.workload ~n:t.spec.Spec.n
+  validate_traffic t.traffic ~n:t.spec.Spec.n
 
 (* Lower committed controller epochs onto a traffic timeline: the union
    graph is every edge any epoch ever had (the one frozen CSR the

@@ -35,15 +35,6 @@ type result = {
   control_messages : int;
 }
 
-(* same convention as Runner: smallest sample at or above the rank *)
-let percentile_of sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
-    sorted.(min (n - 1) (rank - 1))
-  end
-
 (* the dedup table is one byte per (chunk, node) pair; refuse workloads
    that would need more than 256 MB of it *)
 let max_pairs = 1 lsl 28
@@ -140,7 +131,10 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
      reduces to the static behaviour: same obligations, same packs. *)
   let member = Array.make n true in
   let last_join = Array.make n 0.0 in
-  let active = Array.make (Csr.degree_sum csr) true in
+  (* one flag per directed edge, read only by a timeline's re-striping *)
+  let active =
+    match reconfig with Some _ -> Array.make (Csr.degree_sum csr) true | None -> [||]
+  in
   let set_active u v b =
     active.(Csr.edge_index csr u v) <- b;
     active.(Csr.edge_index csr v u) <- b
@@ -176,23 +170,24 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
   let last_delivery = Array.make total 0.0 in
   let injected = Array.make total false in
   let skipped = ref 0 in
+  (* the delay samples, at most one per (chunk, non-source node), so
+     the buffer never grows past that bound; the end-of-run percentiles
+     select in place over the filled prefix *)
   let delays = ref (Array.make 1024 0.0) in
   let ndelays = ref 0 in
-  let push d =
-    if !ndelays = Array.length !delays then begin
-      let grown = Array.make (2 * Array.length !delays) 0.0 in
-      Array.blit !delays 0 grown 0 !ndelays;
-      delays := grown
-    end;
-    !delays.(!ndelays) <- d;
-    incr ndelays
-  in
+  let max_delays = total * (n - 1) in
   let record chunk =
     delivered_count.(chunk) <- delivered_count.(chunk) + 1;
     let now = Sim.now sim in
     last_delivery.(chunk) <- now;
     let d = now -. inject_time.(chunk) in
-    push d;
+    if !ndelays = Array.length !delays then begin
+      let grown = Array.make (min (2 * !ndelays) max_delays) 0.0 in
+      Array.blit !delays 0 grown 0 !ndelays;
+      delays := grown
+    end;
+    !delays.(!ndelays) <- d;
+    incr ndelays;
     match h_delay with Some h -> Obs.Registry.observe h d | None -> ()
   in
   let fallbacks = ref 0 and fallback_bursts = ref 0 in
@@ -540,8 +535,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     end
   in
   give_scratch seen;
-  let sorted = Array.sub !delays 0 !ndelays in
-  Array.sort compare sorted;
+  let percentile = Flood.Runner.percentile !delays ~len:!ndelays in
   let stats = Network.stats net in
   let throughput =
     if duration > 0.0 then float_of_int !ndelays /. duration else 0.0
@@ -574,10 +568,10 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     throughput;
     delivery_fraction;
     all_covered;
-    p50_delay = percentile_of sorted 0.50;
-    p95_delay = percentile_of sorted 0.95;
-    p99_delay = percentile_of sorted 0.99;
-    max_delay = (if !ndelays = 0 then 0.0 else sorted.(!ndelays - 1));
+    p50_delay = percentile 0.50;
+    p95_delay = percentile 0.95;
+    p99_delay = percentile 0.99;
+    max_delay = percentile 1.0;
     max_queue_backlog = Network.max_queue_backlog net;
     hot_links = Network.hottest_links net ~max:5;
     tree_fallbacks = !fallbacks;

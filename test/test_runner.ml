@@ -64,6 +64,43 @@ let test_min_coverage_le_mean () =
   let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:6 ()) ~graph:g ~source:0 ~crash_count:4 ~trials:25 () in
   check_bool "min <= mean" true (a.Runner.min_coverage <= a.Runner.mean_coverage +. 1e-9)
 
+(* [percentile] against a sorted copy. Values come from a few levels,
+   so most arrays are heavy with ties. The buffer has slack past [len],
+   as the traffic driver's does, and it must stay untouched; every q is
+   asked of the same buffer in a shuffled order, as the driver asks
+   p50/p95/p99/max in turn, and the prefix must keep its multiset. *)
+let prop_percentile_matches_sort =
+  qcheck ~count:300 "percentile = sorted.(min (n-1) (max 1 ceil(q n) - 1))"
+    QCheck2.Gen.(
+      let* n = int_range 0 3000 in
+      let* levels = oneof [ return 1; int_range 2 8; int_range 9 4000 ] in
+      let* xs =
+        array_repeat n (map (fun i -> (float_of_int i /. 4.0) -. 3.0) (int_bound (levels - 1)))
+      in
+      let* slack = int_bound 8 in
+      let* order = shuffle_l [ 0.0; 0.5; 0.95; 0.99; 1.0 ] in
+      return (xs, slack, order))
+    (fun (xs, slack, order) ->
+      let n = Array.length xs in
+      let sorted = Array.copy xs in
+      Array.sort Float.compare sorted;
+      let buf = Array.append xs (Array.make slack 42.5) in
+      let expected q =
+        if n = 0 then 0.0
+        else sorted.(min (n - 1) (max 1 (int_of_float (ceil (q *. float_of_int n))) - 1))
+      in
+      List.for_all (fun q -> Runner.percentile buf ~len:n q = expected q) order
+      && Array.for_all (fun x -> x = 42.5) (Array.sub buf n slack)
+      &&
+      let prefix = Array.sub buf 0 n in
+      Array.sort Float.compare prefix;
+      prefix = sorted)
+
+let test_percentile_bad_len () =
+  Alcotest.check_raises "len past the array"
+    (Invalid_argument "Runner.percentile: len outside the array") (fun () ->
+      ignore (Runner.percentile [| 1.0 |] ~len:2 0.5))
+
 let suite =
   [
     Alcotest.test_case "random crashes" `Quick test_random_crashes_avoid_source;
@@ -76,4 +113,6 @@ let suite =
     Alcotest.test_case "flood trials link failures" `Quick test_flood_trials_with_link_failures;
     Alcotest.test_case "gossip trials" `Quick test_gossip_trials_aggregate;
     Alcotest.test_case "min <= mean" `Quick test_min_coverage_le_mean;
+    prop_percentile_matches_sort;
+    Alcotest.test_case "percentile len check" `Quick test_percentile_bad_len;
   ]

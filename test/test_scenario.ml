@@ -56,6 +56,10 @@ let test_validate_wording () =
     { t with Scenario.spec = { t.Scenario.spec with Spec.topology = "cycle"; k = 2 } };
   expect "--bands must be between 1 and 4"
     { t with Scenario.traffic = { t.Scenario.traffic with Scenario.bands = 5 } };
+  expect "--capacity must be a positive finite rate"
+    { t with Scenario.traffic = { t.Scenario.traffic with Scenario.capacity = Some 0.0 } };
+  expect "--queue-cap must be >= 1"
+    { t with Scenario.traffic = { t.Scenario.traffic with Scenario.queue_cap = Some 0 } };
   expect "--epoch-interval must be a positive finite time" { t with Scenario.epoch_interval = 0.0 };
   expect "--batch must be >= 1"
     { t with Scenario.controller = { t.Scenario.controller with Scenario.batch = 0 } };

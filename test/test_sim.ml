@@ -168,6 +168,64 @@ let prop_calendar_matches_heap =
       run_workload ~engine:Sim.Heap ~seed ~bucket_width ~buckets
       = run_workload ~engine:Sim.Calendar ~seed ~bucket_width ~buckets)
 
+(* Dense windows: hundreds of messages per calendar window, on a
+   quarter-unit time grid so that most share their time with others,
+   scheduled out of order into the window being served. This geometry
+   drives [cal_sort] past its 16-id insertion cutoff into the quicksort
+   partitioning, which the sparse timelines above never reach. *)
+let run_dense_windows ~engine ~seed ~bucket_width =
+  let s = Sim.create ~engine ~bucket_width ~buckets:4 () in
+  let rng = Graph_core.Prng.create ~seed in
+  let log = Buffer.create 4096 in
+  let budget = ref 1200 in
+  let send () =
+    decr budget;
+    Sim.schedule_message s
+      ~time:(Sim.now s +. (float_of_int (Graph_core.Prng.int rng 12) /. 4.0))
+      ~src:(Graph_core.Prng.int rng 1000) ~dst:0 ~tag:0 ~payload:!budget
+  in
+  Sim.set_message_handler s (fun ~src ~dst:_ ~tag:_ ~payload ->
+      Buffer.add_string log (Printf.sprintf "%.17g %d %d;" (Sim.now s) src payload);
+      for _ = 1 to Graph_core.Prng.int rng 3 do
+        if !budget > 0 then send ()
+      done);
+  for _ = 1 to 250 do
+    send ()
+  done;
+  Sim.run s;
+  (Buffer.contents log, Sim.events_processed s, Sim.now s)
+
+let prop_dense_windows_match_heap =
+  qcheck ~count:25 "dense tied windows: calendar replays the heap's order"
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 3 16))
+    (fun (seed, w) ->
+      let bucket_width = float_of_int w in
+      run_dense_windows ~engine:Sim.Heap ~seed ~bucket_width
+      = run_dense_windows ~engine:Sim.Calendar ~seed ~bucket_width)
+
+(* Allocation pin: 1,000 concurrent unit-delay message chains, the
+   steady state of a flood round. The clock keeps its box while time
+   stands still, event times stay unboxed from [schedule_message_after]
+   to the calendar, and each drained bucket's array serves the next
+   window, so the run allocates next to nothing. *)
+let test_message_path_allocation () =
+  let s = Sim.create () in
+  Sim.set_message_handler s (fun ~src ~dst ~tag ~payload ->
+      if payload > 0 then
+        Sim.schedule_message_after s ~delay:1.0 ~src ~dst ~tag ~payload:(payload - 1));
+  for i = 0 to 999 do
+    Sim.schedule_message s ~time:0.0 ~src:i ~dst:i ~tag:0 ~payload:220
+  done;
+  let w0 = Gc.minor_words () in
+  Sim.run s;
+  let words = Gc.minor_words () -. w0 in
+  let events = Sim.events_processed s in
+  check_int "events" 221_000 events;
+  let per_event = words /. float_of_int events in
+  check_bool
+    (Printf.sprintf "%.4f minor words per event (bound 0.1)" per_event)
+    true (per_event <= 0.1)
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -184,4 +242,6 @@ let suite =
     Alcotest.test_case "message handler" `Quick test_message_handler;
     Alcotest.test_case "message field validation" `Quick test_message_field_validation;
     prop_calendar_matches_heap;
+    prop_dense_windows_match_heap;
+    Alcotest.test_case "message path allocation" `Quick test_message_path_allocation;
   ]

@@ -308,6 +308,31 @@ let test_fallback_dedup_pin () =
   check_bool "dedup only shrinks" true
     (r.Driver.tree_fallback_bursts >= r.Driver.tree_fallbacks)
 
+(* Allocation pin: a flood stream's per-message work allocates nothing.
+   Delays land in a float buffer, the percentiles select in place and
+   the event loop stays unboxed, so a whole run at n = 16386 (4 sources
+   x 1 chunk, ~197k wire messages) costs under one minor word per wire
+   message; what grows with n or with the stream is allocated directly
+   in the major heap. *)
+let test_driver_allocation () =
+  let spec =
+    { Scenario.Spec.default with Scenario.Spec.topology = "kdiamond"; n = 16386; k = 4 }
+  in
+  let csr =
+    match Scenario.Spec.csr spec with Ok c -> c | Error e -> Alcotest.failf "csr: %s" e
+  in
+  let workload =
+    Workload.default |> Workload.with_source_count 4 |> Workload.with_chunks_per_source 1
+  in
+  let w0 = Gc.minor_words () in
+  let r = Driver.run_csr_env ~env:(Env.default |> Env.with_seed 1) ~csr ~workload () in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "all covered" true r.Driver.all_covered;
+  let per_message = words /. float_of_int r.Driver.wire_messages in
+  check_bool
+    (Printf.sprintf "%.4f minor words per wire message (bound 1)" per_message)
+    true (per_message <= 1.0)
+
 let suite =
   [
     prop_fifo_no_reorder;
@@ -325,4 +350,5 @@ let suite =
     Alcotest.test_case "workload validation" `Quick test_workload_validation;
     Alcotest.test_case "chaos mid-stream" `Quick test_chaos_midstream;
     Alcotest.test_case "lhg-traffic/1 shape + determinism" `Quick test_json_shape;
+    Alcotest.test_case "flood stream allocation" `Quick test_driver_allocation;
   ]
