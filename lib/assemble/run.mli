@@ -3,9 +3,9 @@
 
     {2 Protocol}
 
-    Every node runs the same three-phase state machine on the int
-    payload plane of a {!Netsim.Network} over the complete substrate
-    ({!Wire.substrate}):
+    Every node runs the same three-phase state machine over a
+    {!Netsim.Network} on the complete substrate ({!Wire.substrate}),
+    one {!Wire}-encoded int per message:
 
     - {b Gossip.} Once per round (every [params.period] time units) a
       node pushes its membership view ({!View}) to one live peer chosen

@@ -7,7 +7,7 @@
     node can already address every other (the IP layer of the story).
     That underlay is modelled as a complete graph frozen into a
     {!Graph_core.Csr} — which makes every protocol message a plain
-    {!Netsim.Network.send_int} on the int payload plane, with the CSR
+    {!Netsim.Network.send_int} of one int, with the CSR
     edge slot computed arithmetically ({!eidx}) instead of searched.
     Overlay links are protocol state, not substrate edges: the
     realized topology is collected from node state after the run.
@@ -41,7 +41,7 @@ val eidx : n:int -> int -> int -> int
 
 val pack : tag -> int -> int
 (** [pack tag vref] — [vref] must be ≥ 0 (view refs are pool indices,
-    far below the payload plane's 2{^60} bound). *)
+    far below the network's 2{^58} message bound). *)
 
 val unpack : int -> tag * int
 

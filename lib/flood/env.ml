@@ -1,5 +1,3 @@
-type prepare = { prepare : 'msg. 'msg Netsim.Network.t -> unit }
-
 type t = {
   latency : Netsim.Network.latency option;
   loss_rate : float;
@@ -13,7 +11,7 @@ type t = {
   seed : int option;
   obs : Obs.Registry.t;
   pool : Par.Pool.t option;
-  prepare : prepare option;
+  prepare : (Netsim.Network.t -> unit) option;
   engine : Netsim.Sim.engine option;
   trace : Netsim.Trace.t option;
 }
@@ -98,15 +96,17 @@ let seed_value t = match t.seed with Some s -> s | None -> default_seed
 (* The one place the environment is lowered onto a simulator + network
    pair: every protocol's [run_env] goes through here, so a new Env
    knob (capacity, queue policy, …) reaches all run surfaces at once
-   instead of being re-threaded call site by call site. *)
+   instead of being re-threaded call site by call site — and so do the
+   static faults and the [prepare] hook, applied in that order. *)
 let sim_of t = Netsim.Sim.create ?seed:t.seed ?engine:t.engine ~obs:t.obs ()
 
-let network_of_graph t ~sim ~graph =
-  Netsim.Network.create ~sim ~graph ?latency:t.latency ~loss_rate:t.loss_rate
-    ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity ?queue_cap:t.queue_cap
-    ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace ~obs:t.obs ()
-
 let network_of_csr t ~sim ~csr =
-  Netsim.Network.create_csr ~sim ~csr ?latency:t.latency ~loss_rate:t.loss_rate
-    ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity ?queue_cap:t.queue_cap
-    ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace ~obs:t.obs ()
+  let net =
+    Netsim.Network.create ~sim ~csr ?latency:t.latency ~loss_rate:t.loss_rate
+      ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity ?queue_cap:t.queue_cap
+      ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace ~obs:t.obs ()
+  in
+  List.iter (Netsim.Network.crash net) t.crashed;
+  List.iter (fun (u, v) -> Netsim.Network.fail_link net u v) t.failed_links;
+  Option.iter (fun prepare -> prepare net) t.prepare;
+  net

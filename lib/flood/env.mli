@@ -9,7 +9,7 @@
     {!Multi.run_env}, {!Reliable.run_env}, {!Gossip.run_env},
     {!Pif.run_env} and {!Runner.flood_trials_env} — and so the chaos
     auditor can inject a fault plan into any protocol without that
-    protocol knowing what a plan is ({!prepare}).
+    protocol knowing what a plan is (the [prepare] hook).
 
     {b The Env-only contract.} The [run_env] entry points are the only
     way to run a protocol: the legacy optional-argument [run] wrappers
@@ -32,13 +32,6 @@
     ignored except where noted (e.g. {!Pif.run_env} rejects a non-zero
     [loss_rate] because its echo accounting assumes reliable
     channels). *)
-
-type prepare = { prepare : 'msg. 'msg Netsim.Network.t -> unit }
-(** A hook run against the freshly created network — after static
-    [crashed]/[failed_links] injection, before the protocol's first
-    send. Polymorphic in the payload so one hook serves every protocol;
-    {!Chaos.Exec} uses it to schedule a fault plan's timeline on the
-    run's simulator. *)
 
 type t = {
   latency : Netsim.Network.latency option;
@@ -66,7 +59,12 @@ type t = {
   pool : Par.Pool.t option;
       (** domain pool for entry points that fan out (trial sweeps,
           chaos audits); single runs ignore it. *)
-  prepare : prepare option;  (** fault-plan / instrumentation hook. *)
+  prepare : (Netsim.Network.t -> unit) option;
+      (** fault-plan / instrumentation hook, run against the freshly
+          created network after the static [crashed]/[failed_links]
+          injection and before the protocol's first send. One hook
+          serves every protocol; {!Chaos.Exec} uses it to schedule a
+          fault plan's timeline on the run's simulator. *)
   engine : Netsim.Sim.engine option;
       (** [None] = the simulator default ({!Netsim.Sim.Calendar}).
           {!Netsim.Sim.Heap} selects the reference scheduler — both
@@ -93,7 +91,7 @@ val make :
   ?seed:int ->
   ?obs:Obs.Registry.t ->
   ?pool:Par.Pool.t ->
-  ?prepare:prepare ->
+  ?prepare:(Netsim.Network.t -> unit) ->
   ?engine:Netsim.Sim.engine ->
   ?trace:Netsim.Trace.t ->
   unit ->
@@ -133,7 +131,7 @@ val with_pool : Par.Pool.t option -> t -> t
 (** Takes an option so call sites can thread a maybe-pool verbatim
     ([with_pool pool_opt]); [with_pool None] restores sequential. *)
 
-val with_prepare : prepare -> t -> t
+val with_prepare : (Netsim.Network.t -> unit) -> t -> t
 
 val with_engine : Netsim.Sim.engine -> t -> t
 
@@ -147,12 +145,12 @@ val sim_of : t -> Netsim.Sim.t
 (** A fresh simulator configured from the environment (seed, engine,
     registry). *)
 
-val network_of_graph : t -> sim:Netsim.Sim.t -> graph:Graph_core.Graph.t -> 'msg Netsim.Network.t
-
-val network_of_csr : t -> sim:Netsim.Sim.t -> csr:Graph_core.Csr.t -> 'msg Netsim.Network.t
+val network_of_csr : t -> sim:Netsim.Sim.t -> csr:Graph_core.Csr.t -> Netsim.Network.t
 (** Lower the environment onto a network: latency, loss, processing
     delay, link capacity/queueing, trace and registry all applied in
-    one place. Every protocol's [run_env] builds its network through
-    these, which is what makes the Env record the {e single} workload
-    surface — a knob added here reaches flooding, gossip, PIF,
-    reliable broadcast and the traffic driver identically. *)
+    one place, then the static faults — every [crashed] node crashed,
+    every [failed_links] link failed — and finally the [prepare] hook.
+    Every protocol's [run_env] builds its network here, which is what
+    makes the Env record the {e single} workload surface — a knob added
+    here reaches flooding, gossip, PIF, reliable broadcast and the
+    traffic driver identically. *)

@@ -14,8 +14,6 @@ type message_stats = {
 
 type result = { per_message : message_stats list; total_messages : int; all_covered : bool }
 
-type payload = { id : int; hop : int }
-
 let run_env ~env ~graph ~publications () =
   let crashed = env.Env.crashed in
   let obs = env.Env.obs in
@@ -30,20 +28,14 @@ let run_env ~env ~graph ~publications () =
       if p.inject_time < 0.0 then invalid_arg "Multi.run: negative injection time")
     publications;
   let sim = Env.sim_of env in
-  let net = Env.network_of_graph env ~sim ~graph in
-  List.iter (fun v -> Network.crash net v) crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
-  (* per payload: delivery flags and latest first-delivery time *)
-  let seen : (int, bool array) Hashtbl.t = Hashtbl.create 16 in
-  let last_delivery : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (p : publication) ->
-      Hashtbl.replace seen p.payload_id (Array.make n false);
-      Hashtbl.replace last_delivery p.payload_id 0.0)
-    publications;
-  let record id v =
-    let flags = Hashtbl.find seen id in
+  let net = Env.network_of_csr env ~sim ~csr:(Graph_core.Csr.of_graph graph) in
+  (* the message is the publication's index in [pubs]; per index:
+     delivery flags and latest first-delivery time *)
+  let pubs = Array.of_list publications in
+  let seen = Array.map (fun _ -> Array.make n false) pubs in
+  let last_delivery = Array.make (Array.length pubs) 0.0 in
+  let record i v =
+    let flags = seen.(i) in
     if flags.(v) then false
     else begin
       flags.(v) <- true;
@@ -51,43 +43,38 @@ let run_env ~env ~graph ~publications () =
     end
   in
   let csr = Network.csr net in
-  let forward v ~except ~id ~hop =
-    Graph_core.Csr.iter_neighbors csr v (fun w ->
-        if w <> except then Network.send net ~src:v ~dst:w { id; hop })
+  let forward v ~except i =
+    Graph_core.Csr.iter_neighbors csr v (fun w -> if w <> except then Network.send net ~src:v ~dst:w i)
   in
-  Network.set_receiver net (fun ~dst ~src msg ->
-      if record msg.id dst then begin
-        Hashtbl.replace last_delivery msg.id (Sim.now sim);
-        forward dst ~except:src ~id:msg.id ~hop:(msg.hop + 1)
+  Network.set_receiver net (fun ~dst ~src i ->
+      if record i dst then begin
+        last_delivery.(i) <- Sim.now sim;
+        forward dst ~except:src i
       end);
-  List.iter
-    (fun (p : publication) ->
+  Array.iteri
+    (fun i (p : publication) ->
       Sim.schedule_at sim ~time:p.inject_time (fun () ->
-          if record p.payload_id p.origin then
-            forward p.origin ~except:(-1) ~id:p.payload_id ~hop:1))
-    publications;
+          if record i p.origin then forward p.origin ~except:(-1) i))
+    pubs;
   Sim.run sim;
   let alive = Network.alive_mask net in
   let per_message =
-    publications
-    |> List.sort (fun (a : publication) (b : publication) -> compare a.payload_id b.payload_id)
-    |> List.map (fun (p : publication) ->
-           let flags = Hashtbl.find seen p.payload_id in
-           let delivered_count =
-             Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 flags
-           in
-           let covers =
-             let ok = ref true in
-             Array.iteri (fun v live -> if live && not flags.(v) then ok := false) alive;
-             !ok
-           in
-           {
-             payload_id = p.payload_id;
-             origin = p.origin;
-             delivered_count;
-             completion = max 0.0 (Hashtbl.find last_delivery p.payload_id -. p.inject_time);
-             covers_all_alive = covers;
-           })
+    List.init (Array.length pubs) (fun i ->
+        let p = pubs.(i) and flags = seen.(i) in
+        let delivered_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 flags in
+        let covers =
+          let ok = ref true in
+          Array.iteri (fun v live -> if live && not flags.(v) then ok := false) alive;
+          !ok
+        in
+        {
+          payload_id = p.payload_id;
+          origin = p.origin;
+          delivered_count;
+          completion = max 0.0 (last_delivery.(i) -. p.inject_time);
+          covers_all_alive = covers;
+        })
+    |> List.sort (fun (a : message_stats) b -> compare a.payload_id b.payload_id)
   in
   (if Obs.Registry.enabled obs then begin
      let h = Obs.Registry.histogram obs "multi.completion" ~bounds:Obs.Registry.time_bounds in

@@ -10,7 +10,10 @@ type result = {
   messages : int;
 }
 
-type message = Propagate | Echo
+(* the wire encoding: one int per message *)
+let propagate = 0
+
+let echo = 1
 
 let run_env ~env ~graph ~source () =
   if env.Env.loss_rate > 0.0 then
@@ -21,11 +24,8 @@ let run_env ~env ~graph ~source () =
   if source < 0 || source >= n then invalid_arg "Pif.run: source out of range";
   if List.mem source crashed then invalid_arg "Pif.run: source is crashed";
   let sim = Env.sim_of env in
-  let net = Env.network_of_graph env ~sim ~graph in
+  let net = Env.network_of_csr env ~sim ~csr:(Graph_core.Csr.of_graph graph) in
   let m_echoes = Obs.Registry.counter obs "pif.echoes" in
-  List.iter (fun v -> Network.crash net v) crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
   let informed = Array.make n false in
   let parent = Array.make n (-1) in
   let pending = Array.make n 0 in
@@ -38,35 +38,36 @@ let run_env ~env ~graph ~source () =
       completed := true;
       completion_at := Sim.now sim
     end
-    else Network.send net ~src:v ~dst:parent.(v) Echo
+    else Network.send net ~src:v ~dst:parent.(v) echo
   in
   let csr = Network.csr net in
   let propagate_from v ~except =
     let sent = ref 0 in
     Graph_core.Csr.iter_neighbors csr v (fun w ->
         if w <> except then begin
-          Network.send net ~src:v ~dst:w Propagate;
+          Network.send net ~src:v ~dst:w propagate;
           incr sent
         end);
     pending.(v) <- !sent;
     if !sent = 0 then close_node v
   in
   Network.set_receiver net (fun ~dst ~src msg ->
-      match msg with
-      | Propagate ->
-          if informed.(dst) then
-            (* already part of the wave: answer immediately *)
-            Network.send net ~src:dst ~dst:src Echo
-          else begin
-            informed.(dst) <- true;
-            last_delivery := Sim.now sim;
-            parent.(dst) <- src;
-            propagate_from dst ~except:src
-          end
-      | Echo ->
-          Obs.Registry.incr m_echoes;
-          pending.(dst) <- pending.(dst) - 1;
-          if pending.(dst) = 0 && informed.(dst) then close_node dst);
+      if msg = propagate then begin
+        if informed.(dst) then
+          (* already part of the wave: answer immediately *)
+          Network.send net ~src:dst ~dst:src echo
+        else begin
+          informed.(dst) <- true;
+          last_delivery := Sim.now sim;
+          parent.(dst) <- src;
+          propagate_from dst ~except:src
+        end
+      end
+      else begin
+        Obs.Registry.incr m_echoes;
+        pending.(dst) <- pending.(dst) - 1;
+        if pending.(dst) = 0 && informed.(dst) then close_node dst
+      end);
   informed.(source) <- true;
   propagate_from source ~except:(-1);
   Sim.run sim;

@@ -14,7 +14,7 @@ type result = {
 
 (* Payload word: chunk id in the high bits, the flood-escalation flag in
    bit 0 — so a tree-routed copy and a fallback-flood copy of the same
-   chunk stay distinguishable on the int plane. *)
+   chunk stay distinguishable on the wire. *)
 let encode ~chunk ~flood = (chunk lsl 1) lor Bool.to_int flood
 
 let chunk_of payload = payload lsr 1
@@ -40,7 +40,7 @@ let forward ~net ~pack ~tree ~node ~parent ~chunk =
     0
   end
   else begin
-    Network.send_neighbors_int net ~src:node ~except:parent (encode ~chunk ~flood:true);
+    Network.send_neighbors_except net ~src:node ~except:parent (encode ~chunk ~flood:true);
     1
   end
 
@@ -56,9 +56,6 @@ let run_env ~env ~csr ~source ?count ?(tree = 0) ?pack () =
   let obs = env.Env.obs in
   let sim = Env.sim_of env in
   let net = Env.network_of_csr env ~sim ~csr in
-  List.iter (fun v -> Network.crash net v) env.Env.crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
   let delivered = Array.make n false in
   let delivery_time = Array.make n (-1.0) in
   (* Second dedup plane: has this node already forwarded a flood copy?
@@ -75,7 +72,7 @@ let run_env ~env ~csr ~source ?count ?(tree = 0) ?pack () =
       flooded.(node) <- true
     end
   in
-  Network.set_int_receiver net (fun ~dst ~src payload ->
+  Network.set_receiver net (fun ~dst ~src payload ->
       let chunk = chunk_of payload in
       if is_flood payload then begin
         if not delivered.(dst) then begin
@@ -84,7 +81,7 @@ let run_env ~env ~csr ~source ?count ?(tree = 0) ?pack () =
         end;
         if not flooded.(dst) then begin
           flooded.(dst) <- true;
-          Network.send_neighbors_int net ~src:dst ~except:src (encode ~chunk ~flood:true)
+          Network.send_neighbors_except net ~src:dst ~except:src (encode ~chunk ~flood:true)
         end
       end
       else if not delivered.(dst) then begin

@@ -38,7 +38,7 @@ val chunk_of : int -> int
 val is_flood : int -> bool
 
 val forward :
-  net:int Netsim.Network.t ->
+  net:Netsim.Network.t ->
   pack:Graph_core.Tree_pack.t ->
   tree:int ->
   node:int ->

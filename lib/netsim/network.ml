@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Csr = Graph_core.Csr
 module Prng = Graph_core.Prng
 
@@ -25,48 +24,30 @@ type stats = {
   dropped_queue : int;
 }
 
-(* In-flight messages ride the Sim event pool as packed ints; the
-   ['msg] itself and its trace seq are parked in a recycled slot store,
-   with the slot id as the event payload. Event tags encode the
-   delivery phase: [tag_arrival] fires when the link latency has
-   elapsed, [tag_deliver] when a positive processing delay has also
-   elapsed. Like the Sim pool, the slot store is chunked — growth never
-   copies or frees, so backlog memory is touched exactly once. *)
+(* In-flight messages ride the Sim event pool as packed ints, the
+   message itself in the payload word (a traced network sends its seq
+   instead, see [park]). Event tags encode the delivery phase:
+   [tag_arrival] fires when the link latency has elapsed, [tag_deliver]
+   when a positive processing delay has also elapsed. *)
 let tag_arrival = 0
 
 let tag_deliver = 1
 
-(* The int plane: an [int t]'s message can ride the event payload word
-   itself, skipping the slot store round trip. Only reachable through
-   [send_neighbors_int], which the interface restricts to [int t], and
-   only taken when tracing is off (the slot store is what parks a
-   message's trace seq). *)
-let tag_int_arrival = 2
-
-let tag_int_deliver = 3
-
 (* Priority bands: with [bands > 1] the sending band rides the event
-   payload word above the slot id / int message, so the delivery side
-   can account per band. Sim packs [payload lsl 2 | tag] into one OCaml
-   int, leaving 61 bits — band bits 58..59 keep every slot id and every
-   int-plane message (< 2^58 by contract) intact. Single-band networks
-   never encode, so their payload words — and hence their executions —
-   are bit-identical to the pre-band engine. *)
+   payload word above the message, so the delivery side can account
+   per band. Sim packs [payload lsl 2 | tag] into one OCaml int, leaving
+   61 bits — band bits 58..59 keep every message (< 2^58 by contract)
+   intact. Single-band networks never encode, so their payload words —
+   and hence their executions — are bit-identical to the pre-band
+   engine. *)
 let band_shift = 58
 
 let band_payload_mask = (1 lsl band_shift) - 1
 
 let max_bands = 4
 
-let chunk_bits = 10
-
-let chunk_len = 1 lsl chunk_bits
-
-let chunk_mask = chunk_len - 1
-
-type 'msg t = {
+type t = {
   sim : Sim.t;
-  graph : Graph.t option;  (** only when built from a mutable graph *)
   csr : Csr.t;  (** topology frozen at creation; every send checks it *)
   latency : latency;
   unit_latency : bool;  (** no model given: constant 1.0 without the closure call *)
@@ -110,15 +91,12 @@ type 'msg t = {
           of which nodes a fault plan ever took down *)
   failed_links : (int * int, unit) Hashtbl.t;
   mutable failed_count : int;  (** = Hashtbl.length failed_links, kept for the send fast path *)
-  tracing : bool;  (** trace <> None — gates the per-slot seq bookkeeping *)
-  mutable receiver : dst:int -> src:int -> 'msg -> unit;
-  mutable int_receiver : dst:int -> src:int -> int -> unit;
-      (** the int plane's sink — only installed on [int t] networks *)
-  mutable slots : 'msg array array;
-  mutable slot_seq : int array array;
-  mutable slot_nchunks : int;
-  mutable slot_free : int array array;
-  mutable slot_free_top : int;
+  tracing : bool;  (** trace <> None *)
+  mutable receiver : dst:int -> src:int -> int -> unit;
+  mutable traced : int array;
+      (** tracing only: every message sent, indexed by its seq — a
+          traced network's payload word is the seq, so the delivery
+          side can stamp trace events with it *)
   mutable sent : int;
   mutable delivered : int;
   mutable dropped_link : int;
@@ -138,44 +116,6 @@ type 'msg t = {
   h_link_queue : Obs.Registry.histogram;
 }
 
-(* -- payload slot store ------------------------------------------------- *)
-
-(* only reached with an empty free list; [msg] doubles as the new
-   chunk's fill element so no dummy ['msg] is ever needed *)
-let add_slot_chunk t msg =
-  let c = t.slot_nchunks in
-  if c = Array.length t.slots then begin
-    let spine a = Array.append a (Array.make (max 8 c) [||]) in
-    t.slots <- spine t.slots;
-    t.slot_seq <- spine t.slot_seq;
-    t.slot_free <- spine t.slot_free
-  end;
-  t.slots.(c) <- Array.make chunk_len msg;
-  t.slot_seq.(c) <- (if t.tracing then Array.make chunk_len 0 else [||]);
-  t.slot_free.(c) <- Array.make chunk_len 0;
-  t.slot_nchunks <- c + 1;
-  (* empty free list: the fresh ids occupy stack positions
-     0..chunk_len-1 in free chunk 0, descending so the lowest pops
-     first *)
-  let base = c lsl chunk_bits in
-  let f0 = t.slot_free.(0) in
-  for i = 0 to chunk_len - 1 do
-    f0.(i) <- base + chunk_len - 1 - i
-  done;
-  t.slot_free_top <- chunk_len
-
-let alloc_slot t msg seq =
-  if t.slot_free_top = 0 then add_slot_chunk t msg;
-  let p = t.slot_free_top - 1 in
-  t.slot_free_top <- p;
-  let s =
-    Array.unsafe_get (Array.unsafe_get t.slot_free (p lsr chunk_bits)) (p land chunk_mask)
-  in
-  Array.unsafe_set (Array.unsafe_get t.slots (s lsr chunk_bits)) (s land chunk_mask) msg;
-  if t.tracing then
-    Array.unsafe_set (Array.unsafe_get t.slot_seq (s lsr chunk_bits)) (s land chunk_mask) seq;
-  s
-
 (* -- delivery sink ------------------------------------------------------ *)
 
 let emit t kind ~src ~dst ~seq =
@@ -183,50 +123,27 @@ let emit t kind ~src ~dst ~seq =
   | None -> ()
   | Some tr -> Trace.record tr { Trace.time = Sim.now t.sim; kind; src; dst; seq }
 
-let deliver t ~src ~dst slot =
-  let band, slot =
-    if t.bands > 1 then (slot lsr band_shift, slot land band_payload_mask) else (0, slot)
+let deliver t ~src ~dst payload =
+  let band, payload =
+    if t.bands > 1 then (payload lsr band_shift, payload land band_payload_mask) else (0, payload)
   in
-  let msg = Array.unsafe_get (Array.unsafe_get t.slots (slot lsr chunk_bits)) (slot land chunk_mask) in
-  let seq =
-    if t.tracing then
-      Array.unsafe_get (Array.unsafe_get t.slot_seq (slot lsr chunk_bits)) (slot land chunk_mask)
-    else 0
-  in
-  let p = t.slot_free_top in
-  Array.unsafe_set (Array.unsafe_get t.slot_free (p lsr chunk_bits)) (p land chunk_mask) slot;
-  t.slot_free_top <- p + 1;
+  (* under tracing the payload is the message's seq (see [park]) *)
   (* [dst] came off a CSR row, so it is in range *)
   if Array.unsafe_get t.crashed dst then begin
     t.dropped_crash <- t.dropped_crash + 1;
     if t.bands > 1 then t.b_dropped_crash.(band) <- t.b_dropped_crash.(band) + 1;
     Obs.Registry.incr t.m_dropped_crash;
-    emit t Trace.Dropped_crash ~src ~dst ~seq
+    emit t Trace.Dropped_crash ~src ~dst ~seq:payload
   end
   else begin
     t.delivered <- t.delivered + 1;
     if t.bands > 1 then t.b_delivered.(band) <- t.b_delivered.(band) + 1;
     if t.obs_on then Obs.Registry.incr t.m_delivered;
-    if t.tracing then emit t Trace.Delivered ~src ~dst ~seq;
-    t.receiver ~dst ~src msg
-  end
-
-(* same accounting as [deliver], minus the slot round trip; never
-   reached with tracing on, so no seq and no emits *)
-let deliver_int t ~src ~dst hop =
-  let band, hop =
-    if t.bands > 1 then (hop lsr band_shift, hop land band_payload_mask) else (0, hop)
-  in
-  if Array.unsafe_get t.crashed dst then begin
-    t.dropped_crash <- t.dropped_crash + 1;
-    if t.bands > 1 then t.b_dropped_crash.(band) <- t.b_dropped_crash.(band) + 1;
-    Obs.Registry.incr t.m_dropped_crash
-  end
-  else begin
-    t.delivered <- t.delivered + 1;
-    if t.bands > 1 then t.b_delivered.(band) <- t.b_delivered.(band) + 1;
-    if t.obs_on then Obs.Registry.incr t.m_delivered;
-    t.int_receiver ~dst ~src hop
+    if t.tracing then begin
+      emit t Trace.Delivered ~src ~dst ~seq:payload;
+      t.receiver ~dst ~src (Array.unsafe_get t.traced payload)
+    end
+    else t.receiver ~dst ~src payload
   end
 
 (* FIFO receiver queue: one message per processing_delay *)
@@ -240,16 +157,11 @@ let queue_processing t ~src ~dst ~tag ~payload =
   Sim.schedule_message t.sim ~time:finish ~src ~dst ~tag ~payload
 
 let handle t ~src ~dst ~tag ~payload =
-  if tag >= tag_int_arrival then begin
-    if tag = tag_int_arrival && t.processing_delay > 0.0 then
-      queue_processing t ~src ~dst ~tag:tag_int_deliver ~payload
-    else deliver_int t ~src ~dst payload
-  end
-  else if tag = tag_arrival && t.processing_delay > 0.0 then
+  if tag = tag_arrival && t.processing_delay > 0.0 then
     queue_processing t ~src ~dst ~tag:tag_deliver ~payload
   else deliver t ~src ~dst payload
 
-let make ~sim ~graph ~csr ?latency ?(loss_rate = 0.0)
+let create ~sim ~csr ?latency ?(loss_rate = 0.0)
     ?(processing_delay = 0.0) ?link_capacity ?(queue_cap = max_int)
     ?(queue_policy = Drop_tail) ?(bands = 1) ?band_weights ?trace
     ?(obs = Obs.Registry.nil) () =
@@ -279,7 +191,6 @@ let make ~sim ~graph ~csr ?latency ?(loss_rate = 0.0)
   let t =
     {
       sim;
-      graph;
       csr;
       latency = (match latency with Some l -> l | None -> constant_latency 1.0);
       unit_latency = latency = None;
@@ -320,12 +231,7 @@ let make ~sim ~graph ~csr ?latency ?(loss_rate = 0.0)
       failed_count = 0;
       tracing = trace <> None;
       receiver = (fun ~dst:_ ~src:_ _ -> ());
-      int_receiver = (fun ~dst:_ ~src:_ _ -> ());
-      slots = [||];
-      slot_seq = [||];
-      slot_nchunks = 0;
-      slot_free = [||];
-      slot_free_top = 0;
+      traced = [||];
       sent = 0;
       delivered = 0;
       dropped_link = 0;
@@ -351,21 +257,6 @@ let make ~sim ~graph ~csr ?latency ?(loss_rate = 0.0)
   Sim.set_message_handler sim (fun ~src ~dst ~tag ~payload -> handle t ~src ~dst ~tag ~payload);
   t
 
-let create ~sim ~graph ?latency ?loss_rate ?processing_delay ?link_capacity ?queue_cap
-    ?queue_policy ?bands ?band_weights ?trace ?obs () =
-  make ~sim ~graph:(Some graph) ~csr:(Csr.of_graph graph) ?latency ?loss_rate ?processing_delay
-    ?link_capacity ?queue_cap ?queue_policy ?bands ?band_weights ?trace ?obs ()
-
-let create_csr ~sim ~csr ?latency ?loss_rate ?processing_delay ?link_capacity ?queue_cap
-    ?queue_policy ?bands ?band_weights ?trace ?obs () =
-  make ~sim ~graph:None ~csr ?latency ?loss_rate ?processing_delay ?link_capacity ?queue_cap
-    ?queue_policy ?bands ?band_weights ?trace ?obs ()
-
-let graph t =
-  match t.graph with
-  | Some g -> g
-  | None -> invalid_arg "Network.graph: network was created from a CSR snapshot (use Network.csr)"
-
 let csr t = t.csr
 
 let sim t = t.sim
@@ -373,12 +264,6 @@ let sim t = t.sim
 let obs t = t.obs
 
 let set_receiver t f = t.receiver <- f
-
-(* installing on both planes keeps delivery uniform whether a given
-   message rode the int plane or (tracing) fell back to the slot plane *)
-let set_int_receiver t f =
-  t.receiver <- f;
-  t.int_receiver <- f
 
 let link_key u v = (min u v, max u v)
 
@@ -457,8 +342,6 @@ let link_backlog_band t ~band ~eidx ~now =
       (Float.ceil (((free -. now) /. Array.unsafe_get t.band_service band) -. 1e-9))
   else 0
 
-let link_backlog t ~eidx ~now = link_backlog_band t ~band:t.send_band ~eidx ~now
-
 (* Departure time of the admitted message, or [-1.0] for a drop-tail
    rejection (full queue under [Drop_tail]; [Block] always admits). *)
 let link_admit t ~band ~eidx ~now =
@@ -484,12 +367,24 @@ let link_admit t ~band ~eidx ~now =
     depart
   end
 
-(* The edge and source-crash preconditions are the caller's; everything
-   after is the steady-state hot path — no closures, no tuples (the
-   failed-links probe is skipped while the table is empty), no
-   allocation once the slot and event pools are warm. [eidx] is the
-   directed edge's CSR slot, consulted only under a finite
-   [link_capacity]. *)
+(* A traced network sends each message's seq as the payload and parks
+   the message here under that seq, so the delivery side can stamp its
+   trace event. Seqs are dense — every send takes the next one — so the
+   store is a doubling array that only ever grows at its end. *)
+let park t seq msg =
+  if seq = Array.length t.traced then begin
+    let a = Array.make (max 1024 (2 * seq)) 0 in
+    Array.blit t.traced 0 a 0 seq;
+    t.traced <- a
+  end;
+  Array.unsafe_set t.traced seq msg
+
+(* The one send path. The edge and source-crash preconditions are the
+   caller's; everything after is the steady-state hot path — no
+   closures, no tuples (the failed-links probe is skipped while the
+   table is empty), no allocation once the event pool is warm and
+   tracing is off. [eidx] is the directed edge's CSR slot, consulted
+   only under a finite [link_capacity]. *)
 let unchecked_send t ~src ~dst ~eidx msg =
   let band = t.send_band in
   let seq = t.next_seq in
@@ -497,7 +392,10 @@ let unchecked_send t ~src ~dst ~eidx msg =
   t.sent <- t.sent + 1;
   if t.bands > 1 then t.b_sent.(band) <- t.b_sent.(band) + 1;
   if t.obs_on then Obs.Registry.incr t.m_sent;
-  if t.tracing then emit t Trace.Sent ~src ~dst ~seq;
+  if t.tracing then begin
+    park t seq msg;
+    emit t Trace.Sent ~src ~dst ~seq
+  end;
   if t.failed_count > 0 && link_failed t src dst then begin
     t.dropped_link <- t.dropped_link + 1;
     if t.bands > 1 then t.b_dropped_link.(band) <- t.b_dropped_link.(band) + 1;
@@ -510,9 +408,8 @@ let unchecked_send t ~src ~dst ~eidx msg =
     Obs.Registry.incr t.m_dropped_random;
     emit t Trace.Dropped_random ~src ~dst ~seq
   end
-  else if t.cap_on then begin
-    let now = Sim.now t.sim in
-    let depart = link_admit t ~band ~eidx ~now in
+  else begin
+    let depart = if t.cap_on then link_admit t ~band ~eidx ~now:(Sim.now t.sim) else 0.0 in
     if depart < 0.0 then begin
       t.dropped_queue <- t.dropped_queue + 1;
       if t.bands > 1 then t.b_dropped_queue.(band) <- t.b_dropped_queue.(band) + 1;
@@ -529,35 +426,31 @@ let unchecked_send t ~src ~dst ~eidx msg =
         end
       in
       if t.obs_on then Obs.Registry.observe t.h_latency delay;
-      let slot = alloc_slot t msg seq in
-      let payload = if t.bands > 1 then (band lsl band_shift) lor slot else slot in
-      Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_arrival ~payload
+      let payload = if t.tracing then seq else msg in
+      let payload = if t.bands > 1 then (band lsl band_shift) lor payload else payload in
+      if t.cap_on then
+        Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_arrival ~payload
+      else Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_arrival ~payload
     end
-  end
-  else begin
-    let delay =
-      if t.unit_latency then 1.0
-      else begin
-        let d = t.latency t.rng ~src ~dst in
-        if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
-        d
-      end
-    in
-    if t.obs_on then Obs.Registry.observe t.h_latency delay;
-    let slot = alloc_slot t msg seq in
-    let payload = if t.bands > 1 then (band lsl band_shift) lor slot else slot in
-    Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_arrival ~payload
   end
 
 let send t ~src ~dst msg =
   if not (Csr.mem_edge t.csr src dst) then invalid_arg "Network.send: no such edge";
   if t.crashed.(src) then invalid_arg "Network.send: source is crashed";
+  if msg < 0 || msg > band_payload_mask then invalid_arg "Network.send: message outside [0, 2^58)";
   let eidx = if t.cap_on then Csr.edge_index t.csr src dst else -1 in
   unchecked_send t ~src ~dst ~eidx msg
 
-(* Non-optional variant: the flooding hot loop calls this once per
-   delivered message, and an optional [?except] would box a [Some] on
-   every call. Pass [-1] for no exclusion. *)
+(* Single-edge send with the caller-supplied CSR slot: the
+   tree-forwarding hot path, where the packing already carries each
+   parent→child slot so neither the membership check nor the
+   [edge_index] binary search of [send] is paid. *)
+let send_int t ~src ~dst ~eidx msg =
+  if Array.unsafe_get t.crashed src then invalid_arg "Network.send_int: source is crashed";
+  unchecked_send t ~src ~dst ~eidx msg
+
+(* The fan-out: the flooding hot loop calls this once per delivered
+   message. Pass [-1] for no exclusion. *)
 let send_neighbors_except t ~src ~except msg =
   if src < 0 || src >= Csr.n t.csr then invalid_arg "Network.send_neighbors: vertex out of range";
   if Array.unsafe_get t.crashed src then invalid_arg "Network.send_neighbors: source is crashed";
@@ -577,86 +470,6 @@ let send_neighbors_except t ~src ~except msg =
         let dst = Bigarray.Array1.unsafe_get neighbors i in
         if dst <> except then unchecked_send t ~src ~dst ~eidx:i msg
       done
-
-let send_neighbors ?(except = -1) t ~src msg = send_neighbors_except t ~src ~except msg
-
-(* [unchecked_send] with the hop riding the event payload word: same
-   seq consumption, same counters, same drop decisions and RNG draws,
-   so stats agree with the slot plane message for message *)
-let unchecked_send_int t ~src ~dst ~eidx hop =
-  let band = t.send_band in
-  t.next_seq <- t.next_seq + 1;
-  t.sent <- t.sent + 1;
-  if t.bands > 1 then t.b_sent.(band) <- t.b_sent.(band) + 1;
-  if t.obs_on then Obs.Registry.incr t.m_sent;
-  if t.failed_count > 0 && link_failed t src dst then begin
-    t.dropped_link <- t.dropped_link + 1;
-    if t.bands > 1 then t.b_dropped_link.(band) <- t.b_dropped_link.(band) + 1;
-    Obs.Registry.incr t.m_dropped_link
-  end
-  else if t.loss_rate > 0.0 && Prng.float t.rng 1.0 < t.loss_rate then begin
-    t.dropped_random <- t.dropped_random + 1;
-    if t.bands > 1 then t.b_dropped_random.(band) <- t.b_dropped_random.(band) + 1;
-    Obs.Registry.incr t.m_dropped_random
-  end
-  else if t.cap_on then begin
-    let now = Sim.now t.sim in
-    let depart = link_admit t ~band ~eidx ~now in
-    if depart < 0.0 then begin
-      t.dropped_queue <- t.dropped_queue + 1;
-      if t.bands > 1 then t.b_dropped_queue.(band) <- t.b_dropped_queue.(band) + 1;
-      Obs.Registry.incr t.m_dropped_queue
-    end
-    else begin
-      let delay =
-        if t.unit_latency then 1.0
-        else begin
-          let d = t.latency t.rng ~src ~dst in
-          if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
-          d
-        end
-      in
-      if t.obs_on then Obs.Registry.observe t.h_latency delay;
-      let payload = if t.bands > 1 then (band lsl band_shift) lor hop else hop in
-      Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_int_arrival ~payload
-    end
-  end
-  else begin
-    let delay =
-      if t.unit_latency then 1.0
-      else begin
-        let d = t.latency t.rng ~src ~dst in
-        if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
-        d
-      end
-    in
-    if t.obs_on then Obs.Registry.observe t.h_latency delay;
-    let payload = if t.bands > 1 then (band lsl band_shift) lor hop else hop in
-    Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_int_arrival ~payload
-  end
-
-let send_neighbors_int t ~src ~except hop =
-  if t.tracing then
-    (* trace seqs live in the slot store; take the slow plane *)
-    send_neighbors_except t ~src ~except hop
-  else begin
-    if src < 0 || src >= Csr.n t.csr then
-      invalid_arg "Network.send_neighbors: vertex out of range";
-    if Array.unsafe_get t.crashed src then
-      invalid_arg "Network.send_neighbors: source is crashed";
-    match Csr.storage t.csr with
-    | Csr.Ints { offsets; neighbors } ->
-        for i = offsets.(src) to offsets.(src + 1) - 1 do
-          let dst = neighbors.(i) in
-          if dst <> except then unchecked_send_int t ~src ~dst ~eidx:i hop
-        done
-    | Csr.Big { offsets; neighbors } ->
-        for i = Bigarray.Array1.unsafe_get offsets src
-              to Bigarray.Array1.unsafe_get offsets (src + 1) - 1 do
-          let dst = Bigarray.Array1.unsafe_get neighbors i in
-          if dst <> except then unchecked_send_int t ~src ~dst ~eidx:i hop
-        done
-  end
 
 let stats t =
   {
@@ -705,24 +518,6 @@ let band_stats t ~band =
 
 let max_queue_backlog t = t.max_backlog
 
-let link_backlog_now t ~src ~dst =
-  if not t.cap_on then 0
-  else begin
-    let eidx = Csr.edge_index t.csr src dst in
-    if eidx < 0 then invalid_arg "Network.link_backlog_now: no such edge";
-    link_backlog t ~eidx ~now:(Sim.now t.sim)
-  end
-
-(* Single-edge int-plane send with the caller-supplied CSR slot: the
-   tree-forwarding hot path, where the packing already carries each
-   parent→child slot so neither the membership check nor the
-   [edge_index] binary search of [send] is paid. Degrades to the slot
-   plane under tracing, exactly like [send_neighbors_int]. *)
-let send_int t ~src ~dst ~eidx hop =
-  if Array.unsafe_get t.crashed src then invalid_arg "Network.send_int: source is crashed";
-  if t.tracing then unchecked_send t ~src ~dst ~eidx hop
-  else unchecked_send_int t ~src ~dst ~eidx hop
-
 (* Would a send on this directed edge reach a live queue right now?
    Evaluated at send time, the same instant the network itself checks
    link state — so a protocol branching on it and the drop accounting
@@ -733,7 +528,7 @@ let link_usable t ~src ~dst ~eidx =
   && (not (Array.unsafe_get t.crashed dst))
   && ((not t.cap_on)
      || t.queue_policy = Block
-     || link_backlog t ~eidx ~now:(Sim.now t.sim) < t.queue_cap)
+     || link_backlog_band t ~band:t.send_band ~eidx ~now:(Sim.now t.sim) < t.queue_cap)
 
 let hottest_links t ~max:limit =
   if (not t.cap_on) || limit <= 0 then []

@@ -1,4 +1,4 @@
-(** Message-passing network layer over a graph topology.
+(** Message-passing network layer over a frozen CSR topology.
 
     Sits on top of {!Sim}: sending enqueues a delivery event after a
     latency drawn from the latency model. Failure injection covers the
@@ -7,7 +7,18 @@
     ({!restore_link}, {!heal}), and i.i.d. probabilistic message loss
     whose rate can change mid-run ({!set_loss_rate}). All drops are
     counted in {!stats}; every fault and heal is emitted as an
-    {!Obs.Registry} span event. The payload type is the caller's ['msg].
+    {!Obs.Registry} span event.
+
+    {2 Messages}
+
+    A message is one int in [\[0, 2^58)]. Protocols encode what they
+    send into it — a hop count, a TTL, a chunk id with a flag bit, a
+    tag over an index into protocol-local state (as [Assemble.Wire]
+    does) — and decode it in their receiver. There is one
+    send path, one receiver ({!set_receiver}) and one fan-out
+    ({!send_neighbors_except}); {!send} rejects a message outside the
+    range, the unchecked fast paths ({!send_int},
+    {!send_neighbors_except}) take it on trust.
 
     {2 Link capacity and FIFO queues}
 
@@ -53,8 +64,7 @@
     (band, directed edge) — and stays byte-identical across engines.
     A single-band network is bit-for-bit the pre-band engine. With
     [bands > 1] the band rides the event payload word above the
-    message, so int-plane messages must stay below [2^58] (they are
-    chunk ids and round numbers in practice).
+    message — the reason messages stop at 2{^58}.
 
     {2 Recovery semantics}
 
@@ -69,14 +79,17 @@
     {2 Cost model}
 
     In-flight messages ride {!Sim}'s struct-of-arrays event pool as
-    four integers; the ['msg] payload is parked in a recycled slot
-    store. With tracing off and an [Obs] registry disabled, a
-    steady-state {!send} (or {!send_neighbors} fan-out) allocates
-    nothing. A simulator hosts at most one network: creation installs
-    the simulator's single message sink, so a second [create] on the
-    same [sim] raises. *)
+    four integers, the message itself in the payload word. With tracing
+    off and an [Obs] registry disabled, a steady-state {!send} (or
+    {!send_neighbors_except} fan-out) allocates nothing. A traced
+    network sends each message's seq as the payload instead and keeps
+    the message in an int array indexed by that seq — one word per
+    message sent, which is what lets the delivery side stamp its trace
+    event without changing anything the run does. A simulator hosts at
+    most one network: creation installs the simulator's single message
+    sink, so a second [create] on the same [sim] raises. *)
 
-type 'msg t
+type t
 
 type latency = Graph_core.Prng.t -> src:int -> dst:int -> float
 (** Latency model: virtual time units for one message on one link. *)
@@ -106,7 +119,7 @@ type stats = {
 
 val create :
   sim:Sim.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   ?latency:latency ->
   ?loss_rate:float ->
   ?processing_delay:float ->
@@ -118,10 +131,12 @@ val create :
   ?trace:Trace.t ->
   ?obs:Obs.Registry.t ->
   unit ->
-  'msg t
-(** New network; default latency is [constant_latency 1.0], default
-    loss rate 0. With [?trace], every send and terminal outcome is
-    recorded ({!Trace}).
+  t
+(** New network over a frozen topology snapshot ({!Graph_core.Csr.of_graph}
+    freezes a mutable graph) — no adjacency-set graph is needed, which
+    is what lets a million-node network run. Default latency is
+    [constant_latency 1.0], default loss rate 0. With [?trace], every
+    send and terminal outcome is recorded ({!Trace}).
 
     With [?obs] (default {!Obs.Registry.nil}), the network publishes
     into the registry as it runs: counters [net.sent], [net.delivered]
@@ -153,88 +168,44 @@ val create :
     rate, [queue_cap < 1], [bands] is outside [\[1, 4\]], or
     [band_weights] has the wrong length or a non-positive entry. *)
 
-val create_csr :
-  sim:Sim.t ->
-  csr:Graph_core.Csr.t ->
-  ?latency:latency ->
-  ?loss_rate:float ->
-  ?processing_delay:float ->
-  ?link_capacity:float ->
-  ?queue_cap:int ->
-  ?queue_policy:queue_policy ->
-  ?bands:int ->
-  ?band_weights:float array ->
-  ?trace:Trace.t ->
-  ?obs:Obs.Registry.t ->
-  unit ->
-  'msg t
-(** Like {!create}, but directly over a frozen CSR snapshot — the
-    million-node path, where no mutable adjacency-set graph ever
-    exists. {!graph} raises on such a network. *)
+val csr : t -> Graph_core.Csr.t
+(** The frozen topology snapshot every send checks against. *)
 
-val graph : 'msg t -> Graph_core.Graph.t
-(** The construction-side graph passed to {!create}. The network
-    freezes a CSR snapshot of it at creation; later mutations of this
-    graph are not observed by {!send}/{!fail_link}.
-    @raise Invalid_argument on a network built with {!create_csr}. *)
+val sim : t -> Sim.t
 
-val csr : 'msg t -> Graph_core.Csr.t
-(** The frozen topology snapshot. Protocols should iterate neighbours
-    from this (flat arrays) rather than from {!graph}. *)
-
-val sim : 'msg t -> Sim.t
-
-val obs : 'msg t -> Obs.Registry.t
+val obs : t -> Obs.Registry.t
 (** The registry passed to {!create} ({!Obs.Registry.nil} if none). *)
 
-val set_receiver : 'msg t -> (dst:int -> src:int -> 'msg -> unit) -> unit
+val set_receiver : t -> (dst:int -> src:int -> int -> unit) -> unit
 (** Install the protocol's receive handler (one per network). *)
 
-val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-(** Send over the edge (src,dst).
-    @raise Invalid_argument if no such edge exists or [src] is crashed.
-    The message is silently dropped (and counted) on link failure, the
-    loss coin, or a crashed/crashing destination at delivery time. *)
+val send : t -> src:int -> dst:int -> int -> unit
+(** Send a message over the edge (src,dst).
+    @raise Invalid_argument if no such edge exists, [src] is crashed,
+    or the message is outside [\[0, 2^58)]. The message is silently
+    dropped (and counted) on link failure, the loss coin, or a
+    crashed/crashing destination at delivery time. *)
 
-val send_neighbors : ?except:int -> 'msg t -> src:int -> 'msg -> unit
-(** Send [msg] over every edge incident to [src], in ascending
-    neighbour order — exactly [send] per neighbour, minus the
-    per-neighbour edge-membership check (the edges come from the
-    network's own topology snapshot). [?except] skips one neighbour —
-    the don't-echo-back rule of flooding. The flooding hot path.
+val send_neighbors_except : t -> src:int -> except:int -> int -> unit
+(** Send the message over every edge incident to [src] except the one
+    to [except] ([-1] for none — the don't-echo-back rule of flooding),
+    in ascending neighbour order: exactly {!send} per neighbour, minus
+    the per-neighbour edge-membership check (the edges come from the
+    network's own topology snapshot) and the message range check. The
+    flooding hot path.
     @raise Invalid_argument if [src] is out of range or crashed. *)
 
-val send_neighbors_except : 'msg t -> src:int -> except:int -> 'msg -> unit
-(** [send_neighbors] with a mandatory exclusion ([-1] for none). The
-    optional argument above boxes a [Some] per call; per-delivery hot
-    loops should use this variant instead. *)
-
-val set_int_receiver : int t -> (dst:int -> src:int -> int -> unit) -> unit
-(** Install the receive handler of an int-message network on both
-    delivery planes: the slot plane of {!send}/{!send_neighbors} and
-    the int plane of {!send_neighbors_int}. *)
-
-val send_neighbors_int : int t -> src:int -> except:int -> int -> unit
-(** {!send_neighbors_except} for networks whose message is a bare
-    non-negative int (a hop count, a round number): the message rides
-    the pooled event's payload word directly, skipping the slot-store
-    round trip — the million-node flooding fast path. Seq numbers,
-    counters, drop decisions and RNG draws match the slot plane message
-    for message, and when the network is tracing the call transparently
-    degrades to {!send_neighbors_except} so trace seqs are preserved.
-    Deliveries arrive at the {!set_int_receiver} handler. *)
-
-val send_int : int t -> src:int -> dst:int -> eidx:int -> int -> unit
-(** One int-plane message over the directed edge whose CSR slot is
-    [eidx] — the tree-forwarding hot path, where the caller (a
+val send_int : t -> src:int -> dst:int -> eidx:int -> int -> unit
+(** One message over the directed edge whose CSR slot is [eidx] — the
+    tree-forwarding hot path, where the caller (a
     {!Graph_core.Tree_pack}) already holds each parent→child slot, so
     neither [send]'s membership check nor its [edge_index] search is
-    paid. Same counters, drop decisions and RNG discipline as
-    {!send_neighbors_int}; degrades to the slot plane under tracing.
-    [eidx] must be the slot of (src, dst) — unchecked.
+    paid. Same counters, drop decisions and RNG discipline as {!send}.
+    [eidx] must be the slot of (src, dst) and the message in range —
+    both unchecked.
     @raise Invalid_argument if [src] is crashed. *)
 
-val link_usable : 'msg t -> src:int -> dst:int -> eidx:int -> bool
+val link_usable : t -> src:int -> dst:int -> eidx:int -> bool
 (** Would a send on this directed edge reach a live queue right now?
     [false] when the link is failed, [dst] is crashed, or a finite
     {!Drop_tail} FIFO is full ({!Block} always admits, so pressure
@@ -243,7 +214,7 @@ val link_usable : 'msg t -> src:int -> dst:int -> eidx:int -> bool
     agrees with the drop accounting. [eidx] must be the slot of
     (src, dst) — unchecked. *)
 
-val hottest_links : 'msg t -> max:int -> (int * int * int) list
+val hottest_links : t -> max:int -> (int * int * int) list
 (** The [max] directed links with the highest per-link occupancy
     high-water mark, as [(src, dst, peak)] sorted hottest first (ties
     to the lexicographically first link), links that never queued
@@ -252,13 +223,13 @@ val hottest_links : 'msg t -> max:int -> (int * int * int) list
     everything is the hottest link there is. Empty without a finite
     capacity. *)
 
-val crash : 'msg t -> int -> unit
+val crash : t -> int -> unit
 (** Crash the node, effective immediately. Idempotent (only the first
     call emits a [Crash] span event). Messages already in flight to it
     are dropped only if they land while it is down — see the recovery
     semantics above. *)
 
-val recover : 'msg t -> int -> unit
+val recover : t -> int -> unit
 (** Bring a crashed node back up, effective immediately. Idempotent
     (only a transition emits a [Recover] span event). The node resumes
     receiving — including messages still in flight from before or
@@ -266,83 +237,77 @@ val recover : 'msg t -> int -> unit
     replay anything it missed; catch-up is the protocol's business
     (e.g. {!Flood.Reliable}'s anti-entropy). *)
 
-val is_crashed : 'msg t -> int -> bool
+val is_crashed : t -> int -> bool
 
-val alive_mask : 'msg t -> bool array
+val alive_mask : t -> bool array
 (** Snapshot: [true] per currently live vertex. *)
 
-val ever_crashed : 'msg t -> bool array
+val ever_crashed : t -> bool array
 (** Snapshot: [true] per vertex that was {!crash}ed at least once over
     the run, whether or not it has since {!recover}ed — what lets a
     protocol audit distinguish "participated throughout" from "came
     back mid-run" without replaying the fault plan. *)
 
-val fail_link : 'msg t -> int -> int -> unit
+val fail_link : t -> int -> int -> unit
 (** Fail the undirected link (both directions). Idempotent; the edge
     must exist in the topology. *)
 
-val restore_link : 'msg t -> int -> int -> unit
+val restore_link : t -> int -> int -> unit
 (** Bring a failed link back up (both directions). Idempotent (only a
     transition emits a [Link_up] span event); the edge must exist in
     the topology. Messages dropped while the link was down stay lost. *)
 
-val heal : 'msg t -> unit
+val heal : t -> unit
 (** Restore every currently failed link, in sorted link order (so the
     [Link_up] event sequence is deterministic). *)
 
-val link_failed : 'msg t -> int -> int -> bool
+val link_failed : t -> int -> int -> bool
 
-val loss_rate : 'msg t -> float
+val loss_rate : t -> float
 (** The current i.i.d. message-loss probability. *)
 
-val set_loss_rate : 'msg t -> float -> unit
+val set_loss_rate : t -> float -> unit
 (** Change the loss rate, effective for subsequent {!send}s (messages
     already in flight keep the coin they were tossed). Emits a
     [Loss_rate] span event when the value changes; [info] carries the
     new rate in parts per million.
     @raise Invalid_argument outside [\[0,1)]. *)
 
-val stats : 'msg t -> stats
+val stats : t -> stats
 (** Cumulative counters. Under recovery, [dropped_crash] counts only
     messages that landed inside a crash window; deliveries after a
     {!recover} count as [delivered] (see the recovery semantics
     above). *)
 
-val link_capacity : 'msg t -> float option
+val link_capacity : t -> float option
 (** The per-link service rate, [None] when links are infinite. *)
 
-val queue_cap : 'msg t -> int
+val queue_cap : t -> int
 
-val queue_policy : 'msg t -> queue_policy
+val queue_policy : t -> queue_policy
 
-val bands : 'msg t -> int
+val bands : t -> int
 (** Number of priority bands (1 when none were configured). *)
 
-val send_band : 'msg t -> int
+val send_band : t -> int
 (** The band subsequent sends are stamped with (initially the lowest
     priority, [bands − 1]). *)
 
-val set_send_band : 'msg t -> int -> unit
+val set_send_band : t -> int -> unit
 (** Switch the sending band, effective for subsequent sends; messages
     already admitted keep their band. The idiom is bracketing: a
     control plane saves {!send_band}, raises to band 0 around its
     burst, and restores.
     @raise Invalid_argument outside [\[0, bands)]. *)
 
-val band_stats : 'msg t -> band:int -> stats
+val band_stats : t -> band:int -> stats
 (** Per-band counters: sends and send-side drops are attributed to the
     band current at send time, deliveries and crash drops to the band
     the message was stamped with. Sums over all bands equal {!stats};
     with a single band this {e is} {!stats}.
     @raise Invalid_argument outside [\[0, bands)]. *)
 
-val max_queue_backlog : 'msg t -> int
+val max_queue_backlog : t -> int
 (** High-water mark of any single link FIFO's occupancy over the run
     (0 without a finite capacity) — the queue-depth maximum that bench
     tables report. *)
-
-val link_backlog_now : 'msg t -> src:int -> dst:int -> int
-(** Current occupancy of the directed link's FIFO (messages admitted
-    but not yet departed, the in-service one included). Always 0
-    without a finite capacity.
-    @raise Invalid_argument if the edge does not exist. *)

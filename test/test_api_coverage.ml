@@ -37,8 +37,8 @@ let test_apl_disconnected_none () =
 let test_network_accessors () =
   let sim = Sim.create () in
   let g = Generators.cycle 4 in
-  let net : unit Network.t = Network.create ~sim ~graph:g () in
-  check_int "graph accessor" 4 (Graph.n (Network.graph net));
+  let net = Network.create ~sim ~csr:(Graph_core.Csr.of_graph g) () in
+  check_int "csr accessor" 4 (Graph_core.Csr.n (Network.csr net));
   check_bool "sim accessor" true (Sim.now (Network.sim net) = 0.0)
 
 let test_sim_until_boundary_inclusive () =

@@ -83,7 +83,7 @@ let test_traced_flood_accounts_for_every_message () =
   let g = b.Build.graph in
   let sim = Netsim.Sim.create () in
   let trace = Netsim.Trace.create () in
-  let net = Netsim.Network.create ~sim ~graph:g ~trace () in
+  let net = Netsim.Network.create ~sim ~csr:(Graph_core.Csr.of_graph g) ~trace () in
   let informed = Array.make (Graph.n g) false in
   Netsim.Network.set_receiver net (fun ~dst ~src msg ->
       if not informed.(dst) then begin
@@ -91,7 +91,7 @@ let test_traced_flood_accounts_for_every_message () =
         Graph.iter_neighbors g dst (fun w -> if w <> src then Netsim.Network.send net ~src:dst ~dst:w msg)
       end);
   informed.(0) <- true;
-  Graph.iter_neighbors g 0 (fun w -> Netsim.Network.send net ~src:0 ~dst:w ());
+  Graph.iter_neighbors g 0 (fun w -> Netsim.Network.send net ~src:0 ~dst:w 0);
   Netsim.Sim.run sim;
   let evs = Netsim.Trace.events trace in
   let count k = List.length (List.filter (fun e -> e.Netsim.Trace.kind = k) evs) in

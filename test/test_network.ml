@@ -1,5 +1,6 @@
 open Helpers
 module Graph = Graph_core.Graph
+module Csr = Graph_core.Csr
 module Generators = Graph_core.Generators
 module Sim = Netsim.Sim
 module Network = Netsim.Network
@@ -7,42 +8,53 @@ module Network = Netsim.Network
 let make_net ?latency ?loss_rate () =
   let sim = Sim.create () in
   let g = Generators.cycle 5 in
-  let net = Network.create ~sim ~graph:g ?latency ?loss_rate () in
+  let net = Network.create ~sim ~csr:(Csr.of_graph g) ?latency ?loss_rate () in
   (sim, net)
 
 let test_basic_delivery () =
   let sim, net = make_net () in
   let received = ref [] in
   Network.set_receiver net (fun ~dst ~src msg -> received := (dst, src, msg) :: !received);
-  Network.send net ~src:0 ~dst:1 "hello";
+  Network.send net ~src:0 ~dst:1 42;
   Sim.run sim;
-  Alcotest.(check (list (triple int int string))) "one delivery" [ (1, 0, "hello") ] !received
+  Alcotest.(check (list (triple int int int))) "one delivery" [ (1, 0, 42) ] !received
 
 let test_latency_applied () =
   let sim, net = make_net ~latency:(Network.constant_latency 2.5) () in
   let at = ref 0.0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> at := Sim.now sim);
-  Network.send net ~src:0 ~dst:1 ();
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> at := Sim.now sim);
+  Network.send net ~src:0 ~dst:1 0;
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "arrival time" 2.5 !at
 
 let test_send_requires_edge () =
   let _, net = make_net () in
   Alcotest.check_raises "non-edge" (Invalid_argument "Network.send: no such edge") (fun () ->
-      Network.send net ~src:0 ~dst:2 ())
+      Network.send net ~src:0 ~dst:2 0)
+
+let test_send_checks_message_range () =
+  let _, net = make_net () in
+  List.iter
+    (fun msg ->
+      Alcotest.check_raises "out of range"
+        (Invalid_argument "Network.send: message outside [0, 2^58)") (fun () ->
+          Network.send net ~src:0 ~dst:1 msg))
+    [ -1; 1 lsl 58; max_int ];
+  Network.send net ~src:0 ~dst:1 ((1 lsl 58) - 1);
+  check_int "largest message sent" 1 (Network.stats net).Network.sent
 
 let test_crashed_source_rejected () =
   let _, net = make_net () in
   Network.crash net 0;
   Alcotest.check_raises "crashed source" (Invalid_argument "Network.send: source is crashed")
-    (fun () -> Network.send net ~src:0 ~dst:1 ())
+    (fun () -> Network.send net ~src:0 ~dst:1 0)
 
 let test_crashed_destination_drops () =
   let sim, net = make_net () in
   let received = ref 0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> incr received);
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> incr received);
   Network.crash net 1;
-  Network.send net ~src:0 ~dst:1 ();
+  Network.send net ~src:0 ~dst:1 0;
   Sim.run sim;
   check_int "nothing delivered" 0 !received;
   let s = Network.stats net in
@@ -52,8 +64,8 @@ let test_crashed_destination_drops () =
 let test_crash_during_flight_drops () =
   let sim, net = make_net ~latency:(Network.constant_latency 5.0) () in
   let received = ref 0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> incr received);
-  Network.send net ~src:0 ~dst:1 ();
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> incr received);
+  Network.send net ~src:0 ~dst:1 0;
   (* crash the destination while the message is in flight *)
   Sim.schedule sim ~delay:1.0 (fun () -> Network.crash net 1);
   Sim.run sim;
@@ -62,11 +74,11 @@ let test_crash_during_flight_drops () =
 let test_failed_link_drops () =
   let sim, net = make_net () in
   let received = ref 0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> incr received);
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> incr received);
   Network.fail_link net 0 1;
   check_bool "failed" true (Network.link_failed net 1 0);
-  Network.send net ~src:0 ~dst:1 ();
-  Network.send net ~src:1 ~dst:0 ();
+  Network.send net ~src:0 ~dst:1 0;
+  Network.send net ~src:1 ~dst:0 0;
   Sim.run sim;
   check_int "both directions dead" 0 !received;
   check_int "counted" 2 (Network.stats net).Network.dropped_link
@@ -79,11 +91,11 @@ let test_fail_link_requires_edge () =
 let test_loss_rate_statistical () =
   let sim = Sim.create ~seed:7 () in
   let g = Generators.complete 2 in
-  let net = Network.create ~sim ~graph:g ~loss_rate:0.3 () in
+  let net = Network.create ~sim ~csr:(Csr.of_graph g) ~loss_rate:0.3 () in
   let received = ref 0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> incr received);
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> incr received);
   for _ = 1 to 2000 do
-    Network.send net ~src:0 ~dst:1 ()
+    Network.send net ~src:0 ~dst:1 0
   done;
   Sim.run sim;
   let frac = float_of_int !received /. 2000.0 in
@@ -100,7 +112,7 @@ let test_invalid_loss_rate () =
   let sim = Sim.create () in
   let g = Generators.cycle 4 in
   Alcotest.check_raises "bad rate" (Invalid_argument "Network.create: loss_rate outside [0,1)")
-    (fun () -> ignore (Network.create ~sim ~graph:g ~loss_rate:1.5 () : unit Network.t))
+    (fun () -> ignore (Network.create ~sim ~csr:(Csr.of_graph g) ~loss_rate:1.5 () : Network.t))
 
 let test_uniform_latency_bounds () =
   let rngv = rng () in
@@ -123,22 +135,22 @@ let test_processing_delay_serializes () =
      at t=3 and t=5 *)
   let sim = Sim.create () in
   let g = Graph_core.Generators.complete 3 in
-  let net = Network.create ~sim ~graph:g ~processing_delay:2.0 () in
+  let net = Network.create ~sim ~csr:(Csr.of_graph g) ~processing_delay:2.0 () in
   let times = ref [] in
-  Network.set_receiver net (fun ~dst ~src:_ () -> if dst = 1 then times := Sim.now sim :: !times);
-  Network.send net ~src:0 ~dst:1 ();
-  Network.send net ~src:2 ~dst:1 ();
+  Network.set_receiver net (fun ~dst ~src:_ _ -> if dst = 1 then times := Sim.now sim :: !times);
+  Network.send net ~src:0 ~dst:1 0;
+  Network.send net ~src:2 ~dst:1 0;
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "serialized handling" [ 3.0; 5.0 ] (List.rev !times)
 
 let test_processing_delay_zero_is_default () =
   let sim = Sim.create () in
   let g = Graph_core.Generators.complete 3 in
-  let net = Network.create ~sim ~graph:g () in
+  let net = Network.create ~sim ~csr:(Csr.of_graph g) () in
   let times = ref [] in
-  Network.set_receiver net (fun ~dst ~src:_ () -> if dst = 1 then times := Sim.now sim :: !times);
-  Network.send net ~src:0 ~dst:1 ();
-  Network.send net ~src:2 ~dst:1 ();
+  Network.set_receiver net (fun ~dst ~src:_ _ -> if dst = 1 then times := Sim.now sim :: !times);
+  Network.send net ~src:0 ~dst:1 0;
+  Network.send net ~src:2 ~dst:1 0;
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "simultaneous" [ 1.0; 1.0 ] (List.rev !times)
 
@@ -146,17 +158,17 @@ let test_processing_delay_negative_rejected () =
   let sim = Sim.create () in
   let g = Graph_core.Generators.cycle 4 in
   Alcotest.check_raises "negative" (Invalid_argument "Network.create: negative processing_delay")
-    (fun () -> ignore (Network.create ~sim ~graph:g ~processing_delay:(-1.0) () : unit Network.t))
+    (fun () -> ignore (Network.create ~sim ~csr:(Csr.of_graph g) ~processing_delay:(-1.0) () : Network.t))
 
 let test_processing_delay_idle_resets () =
   (* after the queue drains, a later message is handled promptly *)
   let sim = Sim.create () in
   let g = Graph_core.Generators.complete 2 in
-  let net = Network.create ~sim ~graph:g ~processing_delay:1.0 () in
+  let net = Network.create ~sim ~csr:(Csr.of_graph g) ~processing_delay:1.0 () in
   let times = ref [] in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> times := Sim.now sim :: !times);
-  Network.send net ~src:0 ~dst:1 ();
-  Sim.schedule sim ~delay:10.0 (fun () -> Network.send net ~src:0 ~dst:1 ());
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> times := Sim.now sim :: !times);
+  Network.send net ~src:0 ~dst:1 0;
+  Sim.schedule sim ~delay:10.0 (fun () -> Network.send net ~src:0 ~dst:1 0);
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "no stale backlog" [ 2.0; 12.0 ] (List.rev !times)
 
@@ -166,9 +178,9 @@ let test_processing_delay_idle_resets () =
 let test_recover_delivers_in_flight () =
   let sim, net = make_net ~latency:(Network.constant_latency 5.0) () in
   let received = ref [] in
-  Network.set_receiver net (fun ~dst ~src:_ () -> received := (Sim.now sim, dst) :: !received);
+  Network.set_receiver net (fun ~dst ~src:_ _ -> received := (Sim.now sim, dst) :: !received);
   Network.crash net 1;
-  Sim.schedule sim ~delay:1.0 (fun () -> Network.send net ~src:0 ~dst:1 ());
+  Sim.schedule sim ~delay:1.0 (fun () -> Network.send net ~src:0 ~dst:1 0);
   (* recovery at t=3 < delivery at t=6: the crash window never sees
      the message land *)
   Sim.schedule sim ~delay:3.0 (fun () -> Network.recover net 1);
@@ -183,9 +195,9 @@ let test_recover_misses_crash_window () =
   (* same shape, but the message lands inside the crash window *)
   let sim, net = make_net ~latency:(Network.constant_latency 1.0) () in
   let received = ref [] in
-  Network.set_receiver net (fun ~dst ~src:_ () -> received := dst :: !received);
+  Network.set_receiver net (fun ~dst ~src:_ _ -> received := dst :: !received);
   Network.crash net 1;
-  Network.send net ~src:0 ~dst:1 ();
+  Network.send net ~src:0 ~dst:1 0;
   Sim.schedule sim ~delay:3.0 (fun () -> Network.recover net 1);
   Sim.run sim;
   Alcotest.(check (list int)) "nothing delivered" [] !received;
@@ -206,12 +218,12 @@ let test_recover_validates_and_is_idempotent () =
 let test_restore_link () =
   let sim, net = make_net () in
   let received = ref 0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> incr received);
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> incr received);
   Network.fail_link net 0 1;
-  Network.send net ~src:0 ~dst:1 ();
+  Network.send net ~src:0 ~dst:1 0;
   Network.restore_link net 0 1;
   check_bool "link back up" false (Network.link_failed net 0 1);
-  Network.send net ~src:0 ~dst:1 ();
+  Network.send net ~src:0 ~dst:1 0;
   Sim.run sim;
   (* the drop before the restore stays lost *)
   check_int "one delivery" 1 !received;
@@ -231,15 +243,15 @@ let test_heal_restores_everything () =
 let test_set_loss_rate_mid_run () =
   let sim, net = make_net () in
   let received = ref 0 in
-  Network.set_receiver net (fun ~dst:_ ~src:_ () -> incr received);
+  Network.set_receiver net (fun ~dst:_ ~src:_ _ -> incr received);
   check_bool "initial rate" true (Network.loss_rate net = 0.0);
   Network.set_loss_rate net 0.999999;
   for _ = 1 to 50 do
-    Network.send net ~src:0 ~dst:1 ()
+    Network.send net ~src:0 ~dst:1 0
   done;
   Network.set_loss_rate net 0.0;
   for _ = 1 to 10 do
-    Network.send net ~src:0 ~dst:1 ()
+    Network.send net ~src:0 ~dst:1 0
   done;
   Sim.run sim;
   (* at 0.999999 essentially everything drops; at 0 nothing does *)
@@ -266,19 +278,20 @@ let prop_band_fifo_and_conservation =
       let sim = Sim.create () in
       let g = Graph.of_edges ~n:2 [ (0, 1) ] in
       let net =
-        Network.create ~sim ~graph:g
+        Network.create ~sim ~csr:(Csr.of_graph g)
           ~latency:(Network.constant_latency 0.7)
           ~loss_rate:loss ~link_capacity:1.0 ~queue_cap:qcap ~bands ()
       in
       let delivered = Array.make bands [] in
-      Network.set_receiver net (fun ~dst:_ ~src:_ (b, i) ->
-          delivered.(b) <- (i : int) :: delivered.(b));
+      (* message = send index over the band in the low two bits *)
+      Network.set_receiver net (fun ~dst:_ ~src:_ m ->
+          delivered.(m land 3) <- (m lsr 2) :: delivered.(m land 3));
       let nmsg = 30 + Prng.int rngv 40 in
       for i = 0 to nmsg - 1 do
         let b = Prng.int rngv bands in
         Sim.schedule sim ~delay:(float_of_int i *. 0.3) (fun () ->
             Network.set_send_band net b;
-            Network.send net ~src:0 ~dst:1 (b, i))
+            Network.send net ~src:0 ~dst:1 ((i lsl 2) lor b))
       done;
       Sim.run sim;
       let rec increasing = function
@@ -314,14 +327,14 @@ let prop_band_high_priority_bound =
       let sim = Sim.create () in
       let g = Graph.of_edges ~n:2 [ (0, 1) ] in
       let net =
-        Network.create ~sim ~graph:g
+        Network.create ~sim ~csr:(Csr.of_graph g)
           ~latency:(Network.constant_latency latency)
           ~link_capacity:cap ~bands ()
       in
       (* bulk burst rides the default (lowest) band at t = 0 *)
       let bulk = 5 + Prng.int rngv 50 in
       for i = 1 to bulk do
-        Network.send net ~src:0 ~dst:1 (-i)
+        Network.send net ~src:0 ~dst:1 i
       done;
       let t1 = 0.1 +. (float_of_int (Prng.int rngv 30) /. 10.0) in
       let arrival = ref nan in
@@ -361,4 +374,5 @@ let suite =
     Alcotest.test_case "exponential latency floor" `Quick test_exponential_latency_floor;
     prop_band_fifo_and_conservation;
     prop_band_high_priority_bound;
+    Alcotest.test_case "send checks message range" `Quick test_send_checks_message_range;
   ]

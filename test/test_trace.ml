@@ -1,5 +1,6 @@
 open Helpers
 module Generators = Graph_core.Generators
+module Csr = Graph_core.Csr
 module Sim = Netsim.Sim
 module Network = Netsim.Network
 module Trace = Netsim.Trace
@@ -8,12 +9,12 @@ let traced_run ?loss_rate ?crashed_mid () =
   let sim = Sim.create ~seed:3 () in
   let g = Generators.cycle 6 in
   let trace = Trace.create () in
-  let net = Network.create ~sim ~graph:g ?loss_rate ~trace () in
-  Network.set_receiver net (fun ~dst ~src:_ () ->
+  let net = Network.create ~sim ~csr:(Csr.of_graph g) ?loss_rate ~trace () in
+  Network.set_receiver net (fun ~dst ~src:_ hop ->
       (* relay once around the ring *)
-      if dst <> 0 then Network.send net ~src:dst ~dst:((dst + 1) mod 6) ());
+      if dst <> 0 then Network.send net ~src:dst ~dst:((dst + 1) mod 6) (hop + 1));
   (match crashed_mid with Some v -> Network.crash net v | None -> ());
-  Network.send net ~src:0 ~dst:1 ();
+  Network.send net ~src:0 ~dst:1 1;
   Sim.run sim;
   (trace, Network.stats net)
 
@@ -91,6 +92,39 @@ let test_invalid_capacity () =
   Alcotest.check_raises "zero" (Invalid_argument "Trace.create: capacity must be positive")
     (fun () -> ignore (Trace.create ~capacity:0 ()))
 
+(* Attaching a trace must not change a run: the recorder only watches.
+   Over random seeds and every network knob at once (capacity, bands,
+   loss, processing delay), a traced run's lhg-traffic/1 document — for
+   flood, trees and gossip dissemination — and its Flooding result equal
+   the untraced run's. *)
+let prop_trace_leaves_runs_unchanged =
+  qcheck ~count:50 "tracing leaves traffic documents and flooding unchanged"
+    QCheck2.Gen.(
+      tup4 (int_bound 10_000) (int_bound 2) (pair (int_range 1 3) (int_range 1 2))
+        (pair bool bool))
+    (fun (seed, strategy, (queue_cap, bands), (lossy, slow)) ->
+      let g = (Lhg_core.Build.kdiamond_exn ~n:46 ~k:4).Lhg_core.Build.graph in
+      let env =
+        Flood.Env.default |> Flood.Env.with_seed seed
+        |> Flood.Env.with_link_capacity 0.5
+        |> Flood.Env.with_queue_cap queue_cap
+        |> Flood.Env.with_bands bands
+        |> Flood.Env.with_loss_rate (if lossy then 0.1 else 0.0)
+        |> Flood.Env.with_processing_delay (if slow then 0.25 else 0.0)
+      in
+      let traced () = Flood.Env.with_trace (Trace.create ~capacity:4096 ()) env in
+      let workload =
+        Traffic.Workload.(
+          default |> with_source_count 2 |> with_chunks_per_source 3 |> with_rate 0.5
+          |> with_dissemination (List.nth [ Flood; Trees; Gossip ] strategy))
+      in
+      let doc env =
+        Scenario.report_traffic ~topology:"kdiamond" ~n:46 ~k:4 ~seed
+          (Traffic.Driver.run_env ~env ~graph:g ~workload ())
+      in
+      let flood env = Flood.Flooding.run_env ~env ~graph:g ~source:(seed mod 46) () in
+      String.equal (doc env) (doc (traced ())) && flood env = flood (traced ()))
+
 let suite =
   [
     Alcotest.test_case "send and delivery recorded" `Quick test_send_and_delivery_recorded;
@@ -101,4 +135,5 @@ let suite =
     Alcotest.test_case "ring buffer eviction" `Quick test_ring_buffer_eviction;
     Alcotest.test_case "pp event" `Quick test_pp_event;
     Alcotest.test_case "invalid capacity" `Quick test_invalid_capacity;
+    prop_trace_leaves_runs_unchanged;
   ]
