@@ -9,7 +9,10 @@
    so any registered family with a direct CSR path can be smoked.
 
    Exits non-zero if the flood misses a node or the budget is blown —
-   the CI guard for the calendar-queue + CSR-builder hot core. *)
+   the CI guard for the calendar-queue + CSR-builder hot core. After
+   the timed run, outside the budget, the same flood reruns on the
+   binary-heap engine; the smoke also fails unless every delivery
+   time, the message count and the hop radius are identical. *)
 
 let getenv_int name default =
   match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
@@ -49,5 +52,22 @@ let () =
   if build_s +. flood_s > budget_s then begin
     Printf.eprintf "million_smoke: FAIL %.3f s over the %.1f s budget\n" (build_s +. flood_s)
       budget_s;
+    exit 1
+  end;
+  let t3 = Unix.gettimeofday () in
+  let heap =
+    Flood.Flooding.run_csr_env
+      ~env:(Flood.Env.default |> Flood.Env.with_engine Netsim.Sim.Heap)
+      ~csr ~source:0 ()
+  in
+  let identical =
+    heap.Flood.Flooding.delivery_time = result.Flood.Flooding.delivery_time
+    && heap.Flood.Flooding.messages_sent = result.Flood.Flooding.messages_sent
+    && heap.Flood.Flooding.max_hops = result.Flood.Flooding.max_hops
+  in
+  Printf.printf "  heap engine    %.3f s  (identical=%b, not budgeted)\n"
+    (Unix.gettimeofday () -. t3) identical;
+  if not identical then begin
+    prerr_endline "million_smoke: FAIL the heap engine flood differs from the calendar one";
     exit 1
   end

@@ -388,51 +388,59 @@ let resolve_source ~requested ~avoid ~n =
     first 0
 
 let chaos (c : common) (a : Scenario.chaos_audit) =
-  with_graph c (fun g ->
-      let n = Graph_core.Graph.n g in
-      let plan_file = a.Scenario.audit_plan_file in
-      let max_faults = match a.Scenario.max_faults with Some f -> f | None -> c.k in
-      match
-        match plan_file with
-        | Some path -> Result.map (fun p -> `File p) (Chaos.Plan.of_file path)
-        | None -> Result.map (fun adv -> `Sweep adv) (Chaos.Gen.of_string a.Scenario.adversary)
-      with
-      | Error e ->
-          prerr_endline ("error: " ^ e);
-          1
-      | Ok plan_src -> (
-          let avoid =
-            match plan_src with
-            | `File p -> Chaos.Plan.crash_victims p
-            | `Sweep Chaos.Gen.Min_vertex_cut -> Graph_core.Connectivity.min_vertex_cut g
-            | `Sweep Chaos.Gen.Min_edge_cut ->
-                (* a source incident to the cut leaks in-flight messages
-                   across it before a t=0 link_down fires *)
-                List.concat_map (fun (u, v) -> [ u; v ]) (Graph_core.Connectivity.min_edge_cut g)
-            | `Sweep _ -> []
-          in
-          let source = resolve_source ~requested:a.Scenario.source ~avoid ~n in
-          let adversary_name, plans =
-            match plan_src with
-            | `File p -> (Printf.sprintf "plan file %s" (Option.get plan_file), [ p ])
-            | `Sweep adv ->
-                let rng = Graph_core.Prng.create ~seed:c.seed in
-                ( Chaos.Gen.to_string adv,
-                  Chaos.Gen.sweep ~plans_per_level:a.Scenario.plans_per_level ~rng ~graph:g
-                    ~source ~max_faults adv )
-          in
-          with_jobs c (fun pool ->
-              let env = Spec.to_env ?pool c in
-              match Chaos.Audit.run ~env ~graph:g ~k:c.k ~source ~plans with
-              | exception Invalid_argument msg ->
-                  prerr_endline ("error: " ^ msg);
-                  1
-              | report ->
-                  let nplans = List.length plans in
-                  (match c.metrics with
-                  | Some `Json -> chaos_json c ~adversary_name ~nplans report
-                  | Some `Text | None -> chaos_text c ~adversary_name ~nplans report);
-                  if report.Chaos.Audit.boundary_ok then 0 else 1)))
+  match Scenario.validate_chaos_audit a with
+  | Error e ->
+      prerr_endline ("error: " ^ e);
+      1
+  | Ok () ->
+      with_graph c (fun g ->
+          let n = Graph_core.Graph.n g in
+          let plan_file = a.Scenario.audit_plan_file in
+          let max_faults = match a.Scenario.max_faults with Some f -> f | None -> c.k in
+          match
+            match plan_file with
+            | Some path -> Result.map (fun p -> `File p) (Chaos.Plan.of_file path)
+            | None ->
+                Result.map (fun adv -> `Sweep adv) (Chaos.Gen.of_string a.Scenario.adversary)
+          with
+          | Error e ->
+              prerr_endline ("error: " ^ e);
+              1
+          | Ok plan_src -> (
+              let avoid =
+                match plan_src with
+                | `File p -> Chaos.Plan.crash_victims p
+                | `Sweep Chaos.Gen.Min_vertex_cut -> Graph_core.Connectivity.min_vertex_cut g
+                | `Sweep Chaos.Gen.Min_edge_cut ->
+                    (* a source incident to the cut leaks in-flight messages
+                       across it before a t=0 link_down fires *)
+                    List.concat_map
+                      (fun (u, v) -> [ u; v ])
+                      (Graph_core.Connectivity.min_edge_cut g)
+                | `Sweep _ -> []
+              in
+              let source = resolve_source ~requested:a.Scenario.source ~avoid ~n in
+              let adversary_name, plans =
+                match plan_src with
+                | `File p -> (Printf.sprintf "plan file %s" (Option.get plan_file), [ p ])
+                | `Sweep adv ->
+                    let rng = Graph_core.Prng.create ~seed:c.seed in
+                    ( Chaos.Gen.to_string adv,
+                      Chaos.Gen.sweep ~plans_per_level:a.Scenario.plans_per_level ~rng ~graph:g
+                        ~source ~max_faults adv )
+              in
+              with_jobs c (fun pool ->
+                  let env = Spec.to_env ?pool c in
+                  match Chaos.Audit.run ~env ~graph:g ~k:c.k ~source ~plans with
+                  | exception Invalid_argument msg ->
+                      prerr_endline ("error: " ^ msg);
+                      1
+                  | report ->
+                      let nplans = List.length plans in
+                      (match c.metrics with
+                      | Some `Json -> chaos_json c ~adversary_name ~nplans report
+                      | Some `Text | None -> chaos_text c ~adversary_name ~nplans report);
+                      if report.Chaos.Audit.boundary_ok then 0 else 1)))
 
 (* the chaos flag group, decoded once into Scenario.chaos_audit *)
 let chaos_term =
@@ -610,6 +618,12 @@ let route_cmd_impl (c : common) src dst =
       Printf.eprintf "error: route needs a witnessed LHG kind (%s)\n"
         (String.concat ", " (witnessed_kinds ()));
       1
+  | Some _ when src < 0 || src >= c.n ->
+      prerr_endline "error: --src must be >= 0 and < n";
+      1
+  | Some _ when dst < 0 || dst >= c.n ->
+      prerr_endline "error: --dst must be >= 0 and < n";
+      1
   | Some { Topo.Registry.construction = Some cns; _ } -> (
       match Lhg_core.Build.build cns ~n:c.n ~k:c.k with
       | Error e ->
@@ -635,15 +649,7 @@ let route_cmd =
 (* churn *)
 
 let churn (c : common) steps =
-  let family =
-    match c.topology with
-    | "ktree" -> Some Overlay.Membership.Ktree
-    | "kdiamond" -> Some Overlay.Membership.Kdiamond
-    | "jd" -> Some Overlay.Membership.Jd
-    | "harary" -> Some Overlay.Membership.Harary_classic
-    | _ -> None
-  in
-  match family with
+  match Scenario.family_of_topology c.topology with
   | None ->
       prerr_endline "error: churn supports kinds ktree, kdiamond, jd, harary";
       1
@@ -718,36 +724,37 @@ let inspect_cmd =
 
 let grow (c : common) verbose =
   let n = c.n and k = c.k in
-  if k < 3 then begin
-    prerr_endline "error: grow needs k >= 3";
-    1
-  end
-  else if n < 2 * k then begin
-    Printf.eprintf "error: target n must be >= 2k = %d\n" (2 * k);
-    1
-  end
-  else begin
-    let overlay = Overlay.Incremental.start ~k () in
-    while Overlay.Incremental.n overlay < n do
-      let r = Overlay.Incremental.join overlay in
-      if verbose then
-        Printf.printf "n=%d %s (+%d/-%d)\n"
-          (Overlay.Incremental.n overlay)
-          (Overlay.Incremental.op_name r.Overlay.Incremental.op)
-          r.Overlay.Incremental.edges_added r.Overlay.Incremental.edges_removed
-    done;
-    let g = Overlay.Incremental.graph overlay in
-    let joins = n - (2 * k) in
-    Printf.printf "grew to n=%d (k=%d): %d edges, %d joins, %d edges rewired (%.1f per join)\n" n
-      k (Graph_core.Graph.m g) joins
-      (Overlay.Incremental.total_rewired overlay)
-      (if joins = 0 then 0.0
-       else float_of_int (Overlay.Incremental.total_rewired overlay) /. float_of_int joins);
-    Printf.printf "verifier: %s\n"
-      (if Lhg_core.Verify.is_lhg ~check_minimality:false g ~k then "LHG confirmed"
-       else "NOT an LHG (bug)");
-    0
-  end
+  match check_node_cap n with
+  | Error msg ->
+      prerr_endline ("error: " ^ msg);
+      1
+  | Ok () when k < 3 ->
+      prerr_endline "error: grow needs k >= 3";
+      1
+  | Ok () when n < 2 * k ->
+      Printf.eprintf "error: target n must be >= 2k = %d\n" (2 * k);
+      1
+  | Ok () ->
+      let overlay = Overlay.Incremental.start ~k () in
+      while Overlay.Incremental.n overlay < n do
+        let r = Overlay.Incremental.join overlay in
+        if verbose then
+          Printf.printf "n=%d %s (+%d/-%d)\n"
+            (Overlay.Incremental.n overlay)
+            (Overlay.Incremental.op_name r.Overlay.Incremental.op)
+            r.Overlay.Incremental.edges_added r.Overlay.Incremental.edges_removed
+      done;
+      let g = Overlay.Incremental.graph overlay in
+      let joins = n - (2 * k) in
+      Printf.printf "grew to n=%d (k=%d): %d edges, %d joins, %d edges rewired (%.1f per join)\n"
+        n k (Graph_core.Graph.m g) joins
+        (Overlay.Incremental.total_rewired overlay)
+        (if joins = 0 then 0.0
+         else float_of_int (Overlay.Incremental.total_rewired overlay) /. float_of_int joins);
+      Printf.printf "verifier: %s\n"
+        (if Lhg_core.Verify.is_lhg ~check_minimality:false g ~k then "LHG confirmed"
+         else "NOT an LHG (bug)");
+      0
 
 let grow_cmd =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every join operation.") in
@@ -763,81 +770,55 @@ let controller (c : common) (cc : Scenario.controller) =
       prerr_endline "error: controller supports kinds ktree, kdiamond, jd, harary";
       1
   | Some family -> (
-      let chaos =
-        match cc.Scenario.chaos_adversary with
-        | None -> Ok None
-        | Some name -> (
-            match Chaos.Gen.of_string name with
-            | Ok adv ->
-                Ok
-                  (Some
-                     (Overlay.Controller.chaos ~plans_per_level:cc.Scenario.chaos_plans_per_level
-                        ?max_faults:cc.Scenario.chaos_max_faults ~seed:c.seed adv))
-            | Error e -> Error e)
-      in
-      match chaos with
+      match
+        let ( let* ) = Result.bind in
+        let* () = Scenario.validate_controller cc in
+        let* chaos = Scenario.controller_chaos cc ~seed:c.seed in
+        let* trace = Scenario.load_trace cc ~spec:c ~family in
+        Ok (chaos, trace)
+      with
       | Error e ->
           prerr_endline ("error: " ^ e);
           1
-      | Ok chaos -> (
-          let trace =
-            match cc.Scenario.trace_file with
-            | Some path -> (
-                match In_channel.with_open_text path In_channel.input_all with
-                | text -> (
-                    match Overlay.Controller.parse_trace text with
-                    | Ok reqs -> Ok reqs
-                    | Error e -> Error (Overlay.Error.to_string e))
-                | exception Sys_error msg -> Error msg)
-            | None ->
-                Ok
-                  (Overlay.Controller.random_trace ~seed:c.seed
-                     ?join_probability:cc.Scenario.join_probability ~family ~k:c.k ~n0:c.n
-                     ~steps:cc.Scenario.steps ())
-          in
-          match trace with
-          | Error e ->
-              prerr_endline ("error: " ^ e);
-              1
-          | Ok trace ->
-              with_jobs c (fun pool ->
-                  let verify =
-                    if cc.Scenario.full_verify then Overlay.Controller.Full
-                    else Overlay.Controller.Cached
-                  in
-                  match
-                    Overlay.Controller.create ?pool ~verify ?chaos ~family ~k:c.k ~n:c.n ()
-                  with
+      | Ok (chaos, trace) ->
+          with_jobs c (fun pool ->
+              let verify =
+                if cc.Scenario.full_verify then Overlay.Controller.Full
+                else Overlay.Controller.Cached
+              in
+              match
+                Overlay.Controller.create ?pool ~verify ?chaos ~family ~k:c.k ~n:c.n ()
+              with
+              | Error e ->
+                  prerr_endline ("error: " ^ Overlay.Error.to_string e);
+                  1
+              | Ok t -> (
+                  match Overlay.Controller.run ~batch:cc.Scenario.batch t trace with
                   | Error e ->
                       prerr_endline ("error: " ^ Overlay.Error.to_string e);
                       1
-                  | Ok t -> (
-                      match Overlay.Controller.run ~batch:cc.Scenario.batch t trace with
-                      | Error e ->
-                          prerr_endline ("error: " ^ Overlay.Error.to_string e);
-                          1
-                      | Ok epochs ->
-                          let ok = List.for_all Overlay.Controller.epoch_ok epochs in
-                          (match c.metrics with
-                          | Some `Json ->
-                              print_string (Overlay.Controller.run_to_json t epochs)
-                          | Some `Text | None ->
-                              List.iter
-                                (fun e ->
-                                  Format.printf "%a@." Overlay.Controller.pp_epoch e)
-                                epochs;
-                              let applied =
-                                List.fold_left
-                                  (fun a (e : Overlay.Controller.epoch) ->
-                                    a + e.Overlay.Controller.applied)
-                                  0 epochs
-                              in
-                              Printf.printf
-                                "controller: %d epochs, %d events applied, final n=%d, %s\n"
-                                (List.length epochs) applied (Overlay.Controller.n t)
-                                (if ok then "all epochs verified"
-                                 else "VERIFICATION OR BOUNDARY FAILURE"));
-                          if ok then 0 else 1))))
+                  | Ok epochs ->
+                      let ok = List.for_all Overlay.Controller.epoch_ok epochs in
+                      (match c.metrics with
+                      | Some `Json ->
+                          print_string (Overlay.Controller.run_to_json t epochs)
+                      | Some `Text | None ->
+                          List.iter
+                            (fun e ->
+                              Format.printf "%a@." Overlay.Controller.pp_epoch e)
+                            epochs;
+                          let applied =
+                            List.fold_left
+                              (fun a (e : Overlay.Controller.epoch) ->
+                                a + e.Overlay.Controller.applied)
+                              0 epochs
+                          in
+                          Printf.printf
+                            "controller: %d epochs, %d events applied, final n=%d, %s\n"
+                            (List.length epochs) applied (Overlay.Controller.n t)
+                            (if ok then "all epochs verified"
+                             else "VERIFICATION OR BOUNDARY FAILURE"));
+                      if ok then 0 else 1)))
 
 (* the controller flag group, decoded once into Scenario.controller *)
 let controller_term =

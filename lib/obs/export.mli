@@ -2,7 +2,7 @@
 
     Snapshot a {!Registry} into a self-contained document: JSON for
     machines (the `lhg-obs/1` schema — what [lhg_tool flood --metrics
-    json] and [bench_json.exe] emit), aligned text for humans. Both
+    json] emits), aligned text for humans. Both
     walk the registry in registration order, so diffs between two runs
     line up. *)
 

@@ -128,6 +128,25 @@ let validate_traffic tc ~n =
   in
   Workload.validate tc.workload ~n
 
+let validate_chaos_budget ~plans_per_level ~max_faults =
+  if plans_per_level < 1 then Error "--plans-per-level must be >= 1"
+  else
+    match max_faults with Some f when f < 0 -> Error "--max-faults must be >= 0" | _ -> Ok ()
+
+let validate_chaos_audit a =
+  validate_chaos_budget ~plans_per_level:a.plans_per_level ~max_faults:a.max_faults
+
+let validate_controller cc =
+  let ( let* ) = Result.bind in
+  let* () = if cc.batch >= 1 then Ok () else Error "--batch must be >= 1" in
+  let* () = if cc.steps >= 0 then Ok () else Error "--steps must be >= 0" in
+  let* () =
+    match cc.join_probability with
+    | Some p when not (p >= 0.0 && p <= 1.0) -> Error "--join-probability must be between 0 and 1"
+    | _ -> Ok ()
+  in
+  validate_chaos_budget ~plans_per_level:cc.chaos_plans_per_level ~max_faults:cc.chaos_max_faults
+
 let validate t =
   let ( let* ) = Result.bind in
   let* _ = Spec.validate t.spec in
@@ -140,8 +159,7 @@ let validate t =
     if t.epoch_interval > 0.0 && Float.is_finite t.epoch_interval then Ok ()
     else Error "--epoch-interval must be a positive finite time"
   in
-  let* () = if t.controller.batch >= 1 then Ok () else Error "--batch must be >= 1" in
-  let* () = if t.controller.steps >= 0 then Ok () else Error "--steps must be >= 0" in
+  let* () = validate_controller t.controller in
   validate_traffic t.traffic ~n:t.spec.Spec.n
 
 (* Lower committed controller epochs onto a traffic timeline: the union

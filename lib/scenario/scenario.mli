@@ -90,11 +90,37 @@ val validate_traffic : traffic -> n:int -> (unit, string) result
     a queue cap of at least 1, and a workload valid for [n]. Error
     strings name the CLI flag. *)
 
+val validate_controller : controller -> (unit, string) result
+(** The controller flag group's checks, shared by the [controller]
+    and [scenario] subcommands: a batch of at least 1, a non-negative
+    step count, a join probability in [0, 1] (NaN rejected), at least
+    one chaos plan per level and a non-negative fault budget. Error
+    strings name the CLI flag. *)
+
+val validate_chaos_audit : chaos_audit -> (unit, string) result
+(** The [chaos] subcommand's budget checks, with the same wording as
+    {!validate_controller}: at least one plan per level and a
+    non-negative fault budget. *)
+
 val validate : t -> (unit, string) result
 (** The single validation gate: spec runnable ({!Spec.validate}),
-    topology reconfigurable, positive epoch interval, sane
-    batch/steps, then {!validate_traffic} at the spec's n. Error
-    strings match the CLI's established wording. *)
+    topology reconfigurable, positive epoch interval,
+    {!validate_controller}, then {!validate_traffic} at the spec's n.
+    Error strings match the CLI's established wording. *)
+
+val controller_chaos :
+  controller -> seed:int -> (Overlay.Controller.chaos option, string) result
+(** The per-epoch chaos audit the controller group asks for, if any;
+    [Error] names an unknown adversary. *)
+
+val load_trace :
+  controller ->
+  spec:Spec.t ->
+  family:Overlay.Membership.family ->
+  (Overlay.Controller.request list, string) result
+(** The request trace: the parsed [trace_file] if one is given, else a
+    random trace of [steps] requests from the spec's seed, k and n.
+    [Error] carries the file or parse error. *)
 
 val lower :
   epoch_interval:float ->

@@ -139,6 +139,54 @@ let test_rejects_bad_arguments () =
         (Audit.run ~env:Env.default ~construction:Build.Kdiamond ~k:4 ~sizes:[ 10 ]
            ~recovery_n:46 ~max_faults:4 ()))
 
+(* EXPERIMENTS.md B9, the O(log n) self-assembly claim at seed 1:
+   crash-free assembly up to n = 1026 converges, verifies and matches
+   the target within 3 * ceil(log2 n) rounds, and at n = 46 every
+   fault count up to k - 1 = 3 is detected and repaired. *)
+let test_b9_rounds_within_c_log_n () =
+  let env = Env.default |> Env.with_seed 1 in
+  let a =
+    Audit.run ~env ~construction:Build.Kdiamond ~k:4 ~sizes:[ 10; 46; 100; 258; 1026 ]
+      ~recovery_n:46 ~max_faults:3 ()
+  in
+  check_bool "all configs ok" true a.Audit.all_ok;
+  let ceil_log2 n =
+    let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+    go 0
+  in
+  Alcotest.(check (list int))
+    "sweep sizes" [ 10; 46; 100; 258; 1026 ]
+    (List.map (fun (r : Audit.report) -> r.Audit.n) a.Audit.sweep);
+  List.iter
+    (fun (r : Audit.report) ->
+      let tag = Printf.sprintf "n = %d" r.Audit.n in
+      check_bool (tag ^ ": converged") true r.Audit.converged;
+      check_bool (tag ^ ": verified") true r.Audit.verified;
+      check_bool (tag ^ ": matches target") true r.Audit.matches_target;
+      check_bool
+        (Printf.sprintf "%s: %d rounds <= 3 * %d (%d messages)" tag r.Audit.rounds
+           (ceil_log2 r.Audit.n) r.Audit.messages)
+        true
+        (r.Audit.rounds <= 3 * ceil_log2 r.Audit.n))
+    a.Audit.sweep;
+  Alcotest.(check (list int))
+    "recovery fault counts" [ 0; 1; 2; 3 ]
+    (List.map (fun (r : Audit.report) -> r.Audit.faults) a.Audit.recovery);
+  List.iter
+    (fun (r : Audit.report) ->
+      let tag = Printf.sprintf "f = %d" r.Audit.faults in
+      check_bool
+        (Printf.sprintf "%s, victims [%s]: %d rounds, %d deaths, %d unfreezes, converged, verified"
+           tag
+           (String.concat "; " (List.map string_of_int r.Audit.victims))
+           r.Audit.rounds r.Audit.deaths_declared r.Audit.unfreezes)
+        true
+        (r.Audit.converged && r.Audit.verified);
+      check_int (tag ^ ": victims = faults") r.Audit.faults (List.length r.Audit.victims);
+      if r.Audit.faults > 0 then
+        check_bool (tag ^ ": deaths declared") true (r.Audit.deaths_declared > 0))
+    a.Audit.recovery
+
 let suite =
   [
     Alcotest.test_case "crash-free: converged, verified, target" `Quick test_crash_free_converges;
@@ -148,4 +196,5 @@ let suite =
     Alcotest.test_case "audit: 1/2/4-domain byte-identity" `Quick test_audit_pool_identity;
     Alcotest.test_case "audit verdict and shape" `Quick test_audit_verdict;
     Alcotest.test_case "argument validation" `Quick test_rejects_bad_arguments;
+    Alcotest.test_case "B9: rounds <= 3 log2 n to n=1026" `Slow test_b9_rounds_within_c_log_n;
   ]

@@ -66,16 +66,13 @@ let test_cut_witness_is_the_adversary_plan () =
     check_bool "partition realised" false f.Flood.Flooding.covers_all_alive
   end
 
-let test_gomory_hu_certifies_builds () =
-  (* the GH tree certifies global k-connectivity of every regular build
-     in n-1 flows instead of the verifier's pairwise sweep *)
+let test_edge_connectivity_of_builds () =
+  (* every regular build is exactly k-edge-connected *)
   List.iter
     (fun (n, k) ->
       let b = Build.kdiamond_exn ~n ~k in
-      let t = Graph_core.Gomory_hu.build b.Build.graph in
-      match Graph_core.Gomory_hu.bottleneck t with
-      | Some (_, _, w) -> check_int (Printf.sprintf "lambda(%d,%d)" n k) k w
-      | None -> Alcotest.fail "tree exists")
+      check_int (Printf.sprintf "lambda(%d,%d)" n k) k
+        (Graph_core.Connectivity.edge_connectivity b.Build.graph))
     [ (14, 3); (20, 4); (22, 5) ]
 
 let test_traced_flood_accounts_for_every_message () =
@@ -106,6 +103,6 @@ let suite =
     Alcotest.test_case "grown overlay full stack" `Quick test_grown_overlay_full_stack;
     Alcotest.test_case "membership + flooding" `Quick test_membership_and_flooding_agree;
     Alcotest.test_case "cut witness partitions" `Quick test_cut_witness_is_the_adversary_plan;
-    Alcotest.test_case "gomory-hu certifies builds" `Quick test_gomory_hu_certifies_builds;
+    Alcotest.test_case "lambda = k on kdiamond builds" `Quick test_edge_connectivity_of_builds;
     Alcotest.test_case "traced flood accounting" `Quick test_traced_flood_accounts_for_every_message;
   ]

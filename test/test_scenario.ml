@@ -64,7 +64,31 @@ let test_validate_wording () =
   expect "--batch must be >= 1"
     { t with Scenario.controller = { t.Scenario.controller with Scenario.batch = 0 } };
   expect "--steps must be >= 0"
-    { t with Scenario.controller = { t.Scenario.controller with Scenario.steps = -1 } }
+    { t with Scenario.controller = { t.Scenario.controller with Scenario.steps = -1 } };
+  List.iter
+    (fun p ->
+      expect "--join-probability must be between 0 and 1"
+        {
+          t with
+          Scenario.controller = { t.Scenario.controller with Scenario.join_probability = Some p };
+        })
+    [ -0.1; 2.0; Float.nan ];
+  expect "--plans-per-level must be >= 1"
+    {
+      t with
+      Scenario.controller = { t.Scenario.controller with Scenario.chaos_plans_per_level = 0 };
+    };
+  expect "--max-faults must be >= 0"
+    {
+      t with
+      Scenario.controller = { t.Scenario.controller with Scenario.chaos_max_faults = Some (-1) };
+    };
+  (* the chaos subcommand's group, same wording *)
+  match
+    Scenario.validate_chaos_audit { Scenario.default_chaos_audit with Scenario.plans_per_level = 0 }
+  with
+  | Error e -> check_string "chaos audit plans" "--plans-per-level must be >= 1" e
+  | Ok () -> Alcotest.fail "plans_per_level = 0 should be rejected"
 
 (* [lower] invariants against a real pre-played controller trace *)
 let test_lower () =
@@ -165,6 +189,73 @@ let test_slo_gate_fails () =
   let o = run_ok t in
   check_bool "impossible p95 ceiling trips the gate" false o.Scenario.slo_ok
 
+(* EXPERIMENTS.md B10 at paper scale: a 200-step controller trace
+   (batch 8) committed mid-stream on kdiamond n = 1026, k = 4, seed 7,
+   while 4 sources stream at rate 0.7 through capacity-1 blocking
+   links with 2 priority bands. *)
+let churn_at_scale ~chunks ~interval dissemination =
+  let workload =
+    Workload.default |> Workload.with_source_count 4 |> Workload.with_chunks_per_source chunks
+    |> Workload.with_rate 0.7 |> Workload.with_dissemination dissemination
+  in
+  {
+    Scenario.spec = { Spec.default with Spec.topology = "kdiamond"; n = 1026; k = 4; seed = 7 };
+    traffic =
+      {
+        Scenario.default_traffic with
+        Scenario.workload;
+        capacity = Some 1.0;
+        queue_policy = Some Netsim.Network.Block;
+        bands = 2;
+        min_delivery = 0.99;
+      };
+    controller = { Scenario.default_controller with Scenario.steps = 200; batch = 8 };
+    epoch_interval = interval;
+  }
+
+(* Three runs under the same churn. 4 x 250 chunks with an epoch every
+   12 time units: a million-message trees stream keeps delivery >= 0.99
+   through every epoch, re-packs only on rebuild epochs (one pack per
+   source), and runs clean again after the last degrading epoch.
+   4 x 96 chunks with an epoch every 5 time units: tree striping keeps
+   its congested p95 at most 0.85x flood's. The runs are independent,
+   so the two congested ones stream on a second domain. *)
+let test_b10_churn_under_load () =
+  let congested =
+    Domain.spawn (fun () ->
+        let p95 d =
+          (run_ok (churn_at_scale ~chunks:96 ~interval:5.0 d)).Scenario.result.Driver.p95_delay
+        in
+        let trees = p95 Workload.Trees in
+        (trees, p95 Workload.Flood))
+  in
+  let o = run_ok (churn_at_scale ~chunks:250 ~interval:12.0 Workload.Trees) in
+  let trees, flood = Domain.join congested in
+  let r = o.Scenario.result in
+  let rebuilds =
+    List.length
+      (List.filter
+         (fun (e : Controller.epoch) -> e.Controller.strategy = Controller.Rebuild)
+         o.Scenario.epochs)
+  in
+  check_bool
+    (Printf.sprintf "%d wire messages >= 10^6" r.Driver.wire_messages)
+    true
+    (r.Driver.wire_messages >= 1_000_000);
+  check_int "every epoch applied" (List.length o.Scenario.epochs) r.Driver.epochs_applied;
+  check_bool "every epoch verified" true o.Scenario.all_verified;
+  check_bool
+    (Printf.sprintf "delivery %.4f >= 0.99" r.Driver.delivery_fraction)
+    true
+    (r.Driver.delivery_fraction >= 0.99);
+  check_int "re-packs = 4 x rebuild epochs" (4 * rebuilds) r.Driver.restripe_repacked;
+  check_bool "re-stripes patched" true (r.Driver.restripe_patched > 0);
+  check_bool "commits announced on band 0" true (r.Driver.control_messages > 0);
+  check_bool "recovers after the last degrading epoch" true (r.Driver.recovery_time >= 0.0);
+  check_bool
+    (Printf.sprintf "trees p95 %.2f <= 0.85 x flood p95 %.2f" trees flood)
+    true (trees <= 0.85 *. flood)
+
 let suite =
   [
     Alcotest.test_case "validate wording" `Quick test_validate_wording;
@@ -172,4 +263,5 @@ let suite =
     Alcotest.test_case "run applies every epoch" `Quick test_run_applies_epochs;
     Alcotest.test_case "report: engine + pool identity" `Quick test_report_engine_and_pool_identity;
     Alcotest.test_case "SLO gate" `Quick test_slo_gate_fails;
+    Alcotest.test_case "B10: churn under load, n=1026" `Slow test_b10_churn_under_load;
   ]

@@ -333,6 +333,99 @@ let test_driver_allocation () =
     (Printf.sprintf "%.4f minor words per wire message (bound 1)" per_message)
     true (per_message <= 1.0)
 
+(* The paper-scale streams of EXPERIMENTS.md B7 and B8: kdiamond and
+   the random k-regular configuration model at n = 1026, k = 4, seed 7,
+   through capacity-1 links with queue cap 8. Every bound below is on
+   virtual time or counts, so it is exact and deterministic. *)
+let at_scale_kdiamond =
+  lazy
+    (Graph_core.Csr.of_graph (Lhg_core.Build.kdiamond_exn ~n:1026 ~k:4).Lhg_core.Build.graph)
+
+let at_scale_random_regular =
+  lazy
+    (match Topo.Random_regular.make (Graph_core.Prng.create ~seed:7) ~n:1026 ~k:4 with
+    | Ok g -> Graph_core.Csr.of_graph g
+    | Error e -> Alcotest.failf "random_regular: %s" e)
+
+let at_scale_run ?policy ?plan ~chunks ~rate csr dissemination =
+  let workload =
+    Workload.default |> Workload.with_source_count 4 |> Workload.with_chunks_per_source chunks
+    |> Workload.with_rate rate |> Workload.with_dissemination dissemination
+  in
+  Driver.run_csr_env
+    ~env:(env_with ~seed:7 ~capacity:1.0 ~queue_cap:8 ?policy ())
+    ?plan ~csr ~workload ()
+
+(* B7: 4 x 8 chunks at rate 0.05 (drop-tail) deliver everything on
+   both topologies, with ordered delay percentiles. *)
+let test_b7_lhg_vs_random_regular () =
+  List.iter
+    (fun (name, csr) ->
+      let r = at_scale_run ~chunks:8 ~rate:0.05 csr Workload.Flood in
+      check_bool (name ^ ": delivery 1.0") true (r.Driver.delivery_fraction = 1.0);
+      check_bool
+        (Printf.sprintf "%s: p50 %.2f <= p95 %.2f <= p99 %.2f" name r.Driver.p50_delay
+           r.Driver.p95_delay r.Driver.p99_delay)
+        true
+        (r.Driver.p50_delay <= r.Driver.p95_delay && r.Driver.p95_delay <= r.Driver.p99_delay))
+    [
+      ("kdiamond", Lazy.force at_scale_kdiamond);
+      ("random_regular", Lazy.force at_scale_random_regular);
+    ]
+
+(* B8: on a congestion-dominated workload (4 x 96 chunks at rate 0.7,
+   blocking queues) tree striping cuts flood's p95 to at most 0.85x,
+   closes at least half the p95 gap to the random-regular flood, and
+   spends exactly n - 1 = 1025 messages per chunk. *)
+let gap_run ?plan csr dissemination =
+  at_scale_run ~policy:Network.Block ?plan ~chunks:96 ~rate:0.7 csr dissemination
+
+let test_b8_trees_close_the_gap () =
+  let kd = Lazy.force at_scale_kdiamond and rr = Lazy.force at_scale_random_regular in
+  (* the four runs are independent: stream half of them on a second domain *)
+  let half = Domain.spawn (fun () -> (gap_run kd Workload.Trees, gap_run kd Workload.Gossip)) in
+  let flood = gap_run kd Workload.Flood in
+  let rr_flood = gap_run rr Workload.Flood in
+  let trees, gossip = Domain.join half in
+  List.iter
+    (fun (name, r) ->
+      check_bool
+        (Printf.sprintf "%s delivery %.6f >= 0.999" name r.Driver.delivery_fraction)
+        true
+        (r.Driver.delivery_fraction >= 0.999))
+    [ ("lhg_flood", flood); ("lhg_trees", trees); ("lhg_gossip", gossip); ("rr_flood", rr_flood) ];
+  let p95 r = r.Driver.p95_delay in
+  check_bool
+    (Printf.sprintf "trees p95 %.2f <= 0.85 x flood p95 %.2f" (p95 trees) (p95 flood))
+    true
+    (p95 trees <= 0.85 *. p95 flood);
+  let gap_closed = (p95 flood -. p95 trees) /. (p95 flood -. p95 rr_flood) in
+  check_bool (Printf.sprintf "gap closed %.2f >= 0.5" gap_closed) true (gap_closed >= 0.5);
+  check_int "clean trees run: no fallbacks" 0 trees.Driver.tree_fallbacks;
+  check_int "clean trees run: 1025 messages per chunk" (1025 * trees.Driver.chunks_injected)
+    trees.Driver.wire_messages
+
+(* B8 chaos: 3 = k - 1 links down at t = 40, two of them edges of the
+   first source's own trees, while the congested trees stream is in
+   flight. The dead tree edges force fallbacks; every chunk still
+   reaches every node. *)
+let test_b8_link_chaos () =
+  let csr = Lazy.force at_scale_kdiamond in
+  let source =
+    List.hd (Workload.resolve_sources (Workload.default |> Workload.with_source_count 4) ~n:1026)
+  in
+  let pack = Graph_core.Tree_pack.pack csr ~source in
+  let tree i = Graph_core.Tree_pack.edges pack ~tree:i in
+  let plan =
+    Chaos.Plan.make
+      (List.map
+         (fun (u, v) -> { Chaos.Plan.at = 40.0; event = Chaos.Plan.Link_down (u, v) })
+         [ List.hd (tree 0); List.hd (tree 1); List.hd (List.rev (tree 0)) ])
+  in
+  let r = gap_run ~plan csr Workload.Trees in
+  check_bool "all covered" true r.Driver.all_covered;
+  check_bool "fallbacks exercised" true (r.Driver.tree_fallbacks > 0)
+
 let suite =
   [
     prop_fifo_no_reorder;
@@ -351,4 +444,7 @@ let suite =
     Alcotest.test_case "chaos mid-stream" `Quick test_chaos_midstream;
     Alcotest.test_case "lhg-traffic/1 shape + determinism" `Quick test_json_shape;
     Alcotest.test_case "flood stream allocation" `Quick test_driver_allocation;
+    Alcotest.test_case "B7: LHG vs random regular, n=1026" `Slow test_b7_lhg_vs_random_regular;
+    Alcotest.test_case "B8: trees close the p95 gap, n=1026" `Slow test_b8_trees_close_the_gap;
+    Alcotest.test_case "B8: 3 links down mid-stream, n=1026" `Slow test_b8_link_chaos;
   ]
