@@ -28,10 +28,13 @@ type stats = {
    message itself in the payload word (a traced network sends its seq
    instead, see [park]). Event tags encode the delivery phase:
    [tag_arrival] fires when the link latency has elapsed, [tag_deliver]
-   when a positive processing delay has also elapsed. *)
+   when a positive processing delay has also elapsed. A [tag_fanout]
+   event is a whole unit-latency fan-out (see [send_fanout]). *)
 let tag_arrival = 0
 
 let tag_deliver = 1
+
+let tag_fanout = 2
 
 (* Priority bands: with [bands > 1] the sending band rides the event
    payload word above the message, so the delivery side can account
@@ -58,7 +61,6 @@ type t = {
   next_free : float array;  (** per-node receiver availability time *)
   cap_on : bool;  (** a finite link capacity was given *)
   service : float;  (** per-message service time = 1 / capacity (0 when [cap_on] is false) *)
-  capacity : float;  (** messages per time unit per directed link (0 = infinite) *)
   queue_cap : int;  (** max backlog per directed link {e per band}, in-service message included *)
   queue_policy : queue_policy;
   bands : int;  (** priority bands on the FIFO plane; band 0 is highest *)
@@ -156,9 +158,41 @@ let queue_processing t ~src ~dst ~tag ~payload =
   t.next_free.(dst) <- finish;
   Sim.schedule_message t.sim ~time:finish ~src ~dst ~tag ~payload
 
+let arrive t ~src ~dst payload =
+  if t.processing_delay > 0.0 then queue_processing t ~src ~dst ~tag:tag_deliver ~payload
+  else deliver t ~src ~dst payload
+
+(* CSR row reads for either storage, so each row loop is written once;
+   the storage match is one predictable branch per read *)
+let[@inline] row_start (s : Csr.storage) v =
+  match s with
+  | Csr.Ints { offsets; _ } -> Array.unsafe_get offsets v
+  | Csr.Big { offsets; _ } -> Bigarray.Array1.unsafe_get offsets v
+
+let[@inline] row_entry (s : Csr.storage) i =
+  match s with
+  | Csr.Ints { neighbors; _ } -> Array.unsafe_get neighbors i
+  | Csr.Big { neighbors; _ } -> Bigarray.Array1.unsafe_get neighbors i
+
+(* A fan-out event fires: its messages arrive one by one in row order,
+   each with the crash check and receiver queueing of its own event.
+   The step counted the first; [Sim.count_message] counts the rest
+   just before each runs, so [Sim.events_processed] reads in a
+   receiver what it would have read with one event per message. *)
+let expand t ~src ~except payload =
+  let s = Csr.storage t.csr in
+  let first = ref true in
+  for i = row_start s src to row_start s (src + 1) - 1 do
+    let dst = row_entry s i in
+    if dst <> except then begin
+      if !first then first := false else Sim.count_message t.sim;
+      arrive t ~src ~dst payload
+    end
+  done
+
 let handle t ~src ~dst ~tag ~payload =
-  if tag = tag_arrival && t.processing_delay > 0.0 then
-    queue_processing t ~src ~dst ~tag:tag_deliver ~payload
+  if tag = tag_arrival then arrive t ~src ~dst payload
+  else if tag = tag_fanout then expand t ~src ~except:dst payload
   else deliver t ~src ~dst payload
 
 let create ~sim ~csr ?latency ?(loss_rate = 0.0)
@@ -201,7 +235,6 @@ let create ~sim ~csr ?latency ?(loss_rate = 0.0)
       next_free = Array.make (Csr.n csr) 0.0;
       cap_on;
       service;
-      capacity;
       queue_cap;
       queue_policy;
       bands;
@@ -260,8 +293,6 @@ let create ~sim ~csr ?latency ?(loss_rate = 0.0)
 let csr t = t.csr
 
 let sim t = t.sim
-
-let obs t = t.obs
 
 let set_receiver t f = t.receiver <- f
 
@@ -335,7 +366,7 @@ let set_loss_rate t r =
    future admissions, it does not recall the past. Occupancy and
    [queue_cap] are per band, so a saturated bulk band cannot drop-tail
    the control band. *)
-let link_backlog_band t ~band ~eidx ~now =
+let[@inline] link_backlog_band t ~band ~eidx ~now =
   let free = Array.unsafe_get t.link_free ((band * t.nslots) + eidx) in
   if free > now then
     int_of_float
@@ -343,8 +374,9 @@ let link_backlog_band t ~band ~eidx ~now =
   else 0
 
 (* Departure time of the admitted message, or [-1.0] for a drop-tail
-   rejection (full queue under [Drop_tail]; [Block] always admits). *)
-let link_admit t ~band ~eidx ~now =
+   rejection (full queue under [Drop_tail]; [Block] always admits).
+   [@inline] keeps the departure unboxed on its way to the pool. *)
+let[@inline] link_admit t ~band ~eidx ~now =
   let backlog = link_backlog_band t ~band ~eidx ~now in
   let slot = (band * t.nslots) + eidx in
   (* the per-link peak counts rejected arrivals too: a saturated link
@@ -449,27 +481,54 @@ let send_int t ~src ~dst ~eidx msg =
   if Array.unsafe_get t.crashed src then invalid_arg "Network.send_int: source is crashed";
   unchecked_send t ~src ~dst ~eidx msg
 
+(* One pooled event for a whole fan-out of [d >= 1] messages, taken
+   when no message needs a decision of its own at send time (unit
+   latency, no capacity, loss, failed link or trace). The d messages
+   are counted as sent now, as d [unchecked_send]s would count them,
+   and [expand] replays their arrivals in row order when the event
+   fires; Sim's fan-out events say why that order is exact. The
+   event's dst is the excluded neighbour, or [src] for none: no row
+   holds its own vertex. *)
+let send_fanout t ~src ~except ~d msg =
+  let band = t.send_band in
+  t.next_seq <- t.next_seq + d;
+  t.sent <- t.sent + d;
+  if t.bands > 1 then t.b_sent.(band) <- t.b_sent.(band) + d;
+  if t.obs_on then begin
+    Obs.Registry.add t.m_sent d;
+    for _ = 1 to d do
+      Obs.Registry.observe t.h_latency 1.0
+    done
+  end;
+  let payload = if t.bands > 1 then (band lsl band_shift) lor msg else msg in
+  Sim.schedule_message_after t.sim ~delay:1.0 ~src ~dst:except ~tag:tag_fanout ~payload
+
 (* The fan-out: the flooding hot loop calls this once per delivered
    message. Pass [-1] for no exclusion. *)
 let send_neighbors_except t ~src ~except msg =
-  if src < 0 || src >= Csr.n t.csr then invalid_arg "Network.send_neighbors: vertex out of range";
-  if Array.unsafe_get t.crashed src then invalid_arg "Network.send_neighbors: source is crashed";
-  (* edges come from our own frozen CSR row, so the per-neighbour edge
-     membership check that [send] must do is free here *)
-  (* the loop index [i] is the directed edge's CSR slot — the per-link
-     queue key comes for free on the fan-out path *)
-  match Csr.storage t.csr with
-  | Csr.Ints { offsets; neighbors } ->
-      for i = offsets.(src) to offsets.(src + 1) - 1 do
-        let dst = neighbors.(i) in
-        if dst <> except then unchecked_send t ~src ~dst ~eidx:i msg
-      done
-  | Csr.Big { offsets; neighbors } ->
-      for i = Bigarray.Array1.unsafe_get offsets src
-            to Bigarray.Array1.unsafe_get offsets (src + 1) - 1 do
-        let dst = Bigarray.Array1.unsafe_get neighbors i in
-        if dst <> except then unchecked_send t ~src ~dst ~eidx:i msg
-      done
+  if src < 0 || src >= Csr.n t.csr then
+    invalid_arg "Network.send_neighbors_except: vertex out of range";
+  if Array.unsafe_get t.crashed src then
+    invalid_arg "Network.send_neighbors_except: source is crashed";
+  if
+    (not t.cap_on) && t.unit_latency && (not t.tracing) && t.loss_rate = 0.0
+    && t.failed_count = 0
+  then begin
+    let skip = except >= 0 && except < Csr.n t.csr && Csr.mem_edge t.csr src except in
+    let d = Csr.degree t.csr src - if skip then 1 else 0 in
+    if d > 0 then send_fanout t ~src ~except:(if skip then except else src) ~d msg
+  end
+  else begin
+    (* edges come from our own frozen CSR row, so the per-neighbour
+       edge membership check that [send] must do is free here; the
+       loop index [i] is the directed edge's CSR slot, the per-link
+       queue key *)
+    let s = Csr.storage t.csr in
+    for i = row_start s src to row_start s (src + 1) - 1 do
+      let dst = row_entry s i in
+      if dst <> except then unchecked_send t ~src ~dst ~eidx:i msg
+    done
+  end
 
 let stats t =
   {
@@ -480,10 +539,6 @@ let stats t =
     dropped_random = t.dropped_random;
     dropped_queue = t.dropped_queue;
   }
-
-let link_capacity t = if t.cap_on then Some t.capacity else None
-
-let queue_cap t = t.queue_cap
 
 let queue_policy t = t.queue_policy
 

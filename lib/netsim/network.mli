@@ -79,9 +79,28 @@
     {2 Cost model}
 
     In-flight messages ride {!Sim}'s struct-of-arrays event pool as
-    four integers, the message itself in the payload word. With tracing
+    four words, the message itself in the payload word. With tracing
     off and an [Obs] registry disabled, a steady-state {!send} (or
-    {!send_neighbors_except} fan-out) allocates nothing. A traced
+    {!send_neighbors_except} fan-out) allocates nothing.
+
+    A {!send_neighbors_except} fan-out takes {e one} pooled event for
+    all of its messages whenever nothing about a message has to be
+    decided when it is sent: the default unit latency (no [?latency]
+    model), no [?link_capacity], loss rate 0, no failed link and no
+    [?trace]. The network checks this on every fan-out from state it
+    already holds; there is no option. The fan-out's messages are
+    counted as sent at once, in {!stats}, {!band_stats}, [net.sent] and
+    the [net.latency] histogram, and they arrive together one time unit
+    later. When the event fires, the network runs them in ascending
+    neighbour order, each with its own crash check and receiver
+    queueing, so every delivery, count and trace is the same as with
+    one event per message: see {!Sim}'s fan-out events for why the
+    order is exact. What changes is the event count: {!Sim.pending}
+    holds a flood's in-flight fan-outs, about one per relaying node,
+    instead of one event per wire message. Every other send, and every
+    fan-out that fails one of the conditions, takes one event per
+    message. If the receiver raises mid-fan-out, the rest of that
+    fan-out is dropped uncounted. A traced
     network sends each message's seq as the payload instead and keeps
     the message in an int array indexed by that seq — one word per
     message sent, which is what lets the delivery side stamp its trace
@@ -173,9 +192,6 @@ val csr : t -> Graph_core.Csr.t
 
 val sim : t -> Sim.t
 
-val obs : t -> Obs.Registry.t
-(** The registry passed to {!create} ({!Obs.Registry.nil} if none). *)
-
 val set_receiver : t -> (dst:int -> src:int -> int -> unit) -> unit
 (** Install the protocol's receive handler (one per network). *)
 
@@ -192,7 +208,9 @@ val send_neighbors_except : t -> src:int -> except:int -> int -> unit
     in ascending neighbour order: exactly {!send} per neighbour, minus
     the per-neighbour edge-membership check (the edges come from the
     network's own topology snapshot) and the message range check. The
-    flooding hot path.
+    flooding hot path. Under unit latency with no capacity, loss,
+    failed link or trace, the whole fan-out is one pooled event (see
+    the cost model above); the observable run is the same.
     @raise Invalid_argument if [src] is out of range or crashed. *)
 
 val send_int : t -> src:int -> dst:int -> eidx:int -> int -> unit
@@ -278,11 +296,6 @@ val stats : t -> stats
     messages that landed inside a crash window; deliveries after a
     {!recover} count as [delivered] (see the recovery semantics
     above). *)
-
-val link_capacity : t -> float option
-(** The per-link service rate, [None] when links are infinite. *)
-
-val queue_cap : t -> int
 
 val queue_policy : t -> queue_policy
 

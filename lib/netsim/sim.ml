@@ -7,9 +7,9 @@ type engine = Calendar | Heap
    time and chunks are never copied or freed, so a long run's memory is
    touched exactly once — no doubling copies, no munmap churn (page
    faults, not instructions, dominate at million-event scale). An event
-   id is [chunk lsl chunk_bits lor offset]. 4096-entry chunks keep a
+   id is [chunk lsl chunk_bits lor offset]. 1024-entry chunks keep a
    short-lived simulator's setup cost at a few tens of KB while a
-   million-event backlog still fits in a few hundred chunks. *)
+   million-event backlog still fits in about a thousand chunks. *)
 let chunk_bits = 10
 
 let chunk_len = 1 lsl chunk_bits
@@ -73,16 +73,16 @@ type t = {
   queue : queue;
   mutable handler : src:int -> dst:int -> tag:int -> payload:int -> unit;
   mutable handler_set : bool;
-  (* chunked struct-of-arrays event pool, indexed by event id; a
-     free-list stack recycles ids so steady-state message traffic
-     allocates nothing *)
+  (* chunked struct-of-arrays event pool, indexed by event id: four
+     words a slot. A free slot's [ev_seq] holds the next free id (-1
+     ends the list), so recycling ids needs no column of its own and
+     steady-state message traffic allocates nothing. *)
   mutable ev_time : float array array;
   mutable ev_seq : int array array;
   mutable ev_link : int array array;
   mutable ev_tagpay : int array array;
   mutable nchunks : int;
-  mutable free : int array array;  (* id stack, chunked like the pool *)
-  mutable free_top : int;
+  mutable free_head : int;  (* first free id, -1 when every slot is taken *)
   (* closure events are the rare case: callbacks live in a small side
      table, referenced through [tagpay] *)
   mutable cbs : (unit -> unit) array;
@@ -153,8 +153,7 @@ let create ?(seed = 0x51) ?(obs = Obs.Registry.nil) ?(engine = Calendar)
       ev_link = [||];
       ev_tagpay = [||];
       nchunks = 0;
-      free = [||];
-      free_top = 0;
+      free_head = -1;
       cbs = [||];
       cb_free = [||];
       cb_free_top = 0;
@@ -197,42 +196,41 @@ let add_chunk t =
     t.ev_time <- spine t.ev_time;
     t.ev_seq <- spine t.ev_seq;
     t.ev_link <- spine t.ev_link;
-    t.ev_tagpay <- spine t.ev_tagpay;
-    t.free <- spine t.free
+    t.ev_tagpay <- spine t.ev_tagpay
   end;
+  (* the fresh chunk's seq column is the whole free list: each id links
+     to the next one up, so the lowest id is taken first *)
+  let base = c lsl chunk_bits in
+  let seqs = Array.make chunk_len (-1) in
+  for i = 0 to chunk_mask - 1 do
+    seqs.(i) <- base + i + 1
+  done;
   t.ev_time.(c) <- Array.make chunk_len 0.0;
-  t.ev_seq.(c) <- Array.make chunk_len 0;
+  t.ev_seq.(c) <- seqs;
   t.ev_link.(c) <- Array.make chunk_len (-1);
   t.ev_tagpay.(c) <- Array.make chunk_len 0;
-  t.free.(c) <- Array.make chunk_len 0;
   t.nchunks <- c + 1;
-  (* the free list is empty here, so the fresh ids occupy stack
-     positions 0..chunk_len-1 — all inside free chunk 0 — stacked
-     descending so the lowest id pops first *)
-  let base = c lsl chunk_bits in
-  let f0 = t.free.(0) in
-  for i = 0 to chunk_len - 1 do
-    f0.(i) <- base + chunk_len - 1 - i
-  done;
-  t.free_top <- chunk_len
+  t.free_head <- base
 
 (* [@inline] here and down the insert path keeps the event time
    unboxed from the scheduling call to the pool and the calendar *)
 let[@inline] alloc_event t ~time =
-  if t.free_top = 0 then add_chunk t;
-  let p = t.free_top - 1 in
-  t.free_top <- p;
-  let id = Array.unsafe_get (Array.unsafe_get t.free (p lsr chunk_bits)) (p land chunk_mask) in
-  Array.unsafe_set (Array.unsafe_get t.ev_time (id lsr chunk_bits)) (id land chunk_mask) time;
-  Array.unsafe_set (Array.unsafe_get t.ev_seq (id lsr chunk_bits)) (id land chunk_mask) t.next_seq;
+  if t.free_head < 0 then add_chunk t;
+  let id = t.free_head in
+  let c = id lsr chunk_bits and o = id land chunk_mask in
+  let seqs = Array.unsafe_get t.ev_seq c in
+  t.free_head <- Array.unsafe_get seqs o;
+  Array.unsafe_set seqs o t.next_seq;
+  Array.unsafe_set (Array.unsafe_get t.ev_time c) o time;
   t.next_seq <- t.next_seq + 1;
   t.pending <- t.pending + 1;
   id
 
+(* a released id's seq is overwritten with the list link, so nothing
+   may read the seq of an event once it has been popped *)
 let[@inline] release_event t id =
-  let p = t.free_top in
-  Array.unsafe_set (Array.unsafe_get t.free (p lsr chunk_bits)) (p land chunk_mask) id;
-  t.free_top <- p + 1;
+  Array.unsafe_set (Array.unsafe_get t.ev_seq (id lsr chunk_bits)) (id land chunk_mask) t.free_head;
+  t.free_head <- id;
   t.pending <- t.pending - 1
 
 let alloc_cb t cb =
@@ -545,7 +543,11 @@ let[@inline] message_core t ~time ~src ~dst ~tag ~payload =
   set_tagpay t id ((payload lsl tag_bits) lor tag);
   enqueue t id time
 
-let schedule_message t ~time ~src ~dst ~tag ~payload =
+(* [@inline] lets a caller's computed time (a link departure plus
+   latency) reach the pool unboxed. Across modules that needs
+   cross-module inlining, which dune's dev profile turns off with
+   -opaque: there the time is still boxed once per call. *)
+let[@inline] schedule_message t ~time ~src ~dst ~tag ~payload =
   if time < t.clock then invalid_arg "Sim.schedule_message: time is in the past";
   message_core t ~time ~src ~dst ~tag ~payload
 
@@ -594,6 +596,10 @@ let step t =
     end;
     true
   end
+
+let count_message t =
+  t.processed <- t.processed + 1;
+  if t.counting then Obs.Registry.incr t.m_events
 
 let run ?until t =
   match until with

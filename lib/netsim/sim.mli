@@ -20,7 +20,22 @@
     Messages are the allocation-free fast path: four integer fields
     ([src]/[dst]/[tag]/[payload]) delivered to a single pre-installed
     handler ({!set_message_handler}), instead of one closure per
-    event. *)
+    event.
+
+    {2 Fan-out events}
+
+    One pooled event may stand for several messages. {!Network} does
+    this for a unit-latency fan-out ({!Network.send_neighbors_except}):
+    its d messages share one arrival time and would take d consecutive
+    seqs, so nothing can sit between them in (time, seq) order, and
+    anything a receiver schedules while they run gets a later seq. The
+    network therefore schedules one event and its handler runs the d
+    deliveries in order when the event fires, calling {!count_message}
+    for each after the first. The counts keep their meaning in
+    messages: {!events_processed} and ["sim.events"] count every
+    message the fan-out delivers, exactly as if each were its own
+    event. {!step} runs the whole fan-out, and {!pending} counts it
+    once. *)
 
 type t
 
@@ -79,7 +94,9 @@ val schedule_message :
     packed into two pooled integers, so [src] and [dst] must lie in
     [0, 2^31), [tag] in [0, 4), and [payload] must be ≥ 0 (below 2^60).
     Allocation-free in steady state: the pool grows chunk-wise and never
-    copies, so memory is touched once however large the backlog. *)
+    copies, so memory is touched once however large the backlog. A
+    pending event takes four words: its time, its seq (a free slot's
+    seq is the free-list link) and the two packed ints. *)
 
 val schedule_message_after :
   t -> delay:float -> src:int -> dst:int -> tag:int -> payload:int -> unit
@@ -88,14 +105,24 @@ val schedule_message_after :
     trip, and a constant [delay] costs no float boxing at the call
     site. @raise Invalid_argument on a negative [delay]. *)
 
+val count_message : t -> unit
+(** Count one more executed message in {!events_processed} and
+    ["sim.events"]. For a message handler that runs several messages
+    from one event (a fan-out event, see above): {!step} counts the
+    first, the handler calls this before each further one. *)
+
 val step : t -> bool
-(** Execute the next event; [false] when the queue is empty. *)
+(** Execute the next event; [false] when the queue is empty. A fan-out
+    event runs all of its messages in one step. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the queue, or stop (without executing further events) once the
     next event is strictly later than [until]. *)
 
 val events_processed : t -> int
+(** Events executed so far, each message of a fan-out event counted as
+    one (see {!count_message}). *)
 
 val pending : t -> int
-(** Events still queued. *)
+(** Events still queued; a pending fan-out event counts once, however
+    many messages it carries. *)

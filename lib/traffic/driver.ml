@@ -169,7 +169,10 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
   let skipped = ref 0 in
   (* the delay samples, at most one per (chunk, non-source node), so
      the buffer never grows past that bound; the end-of-run percentiles
-     select in place over the filled prefix *)
+     select in place over the filled prefix. Once doubling would pass
+     half the bound, the buffer grows straight to it: a bound just
+     above a power of two would otherwise cost one last full copy for
+     a handful of samples. *)
   let delays = ref (Array.make 1024 0.0) in
   let ndelays = ref 0 in
   let max_delays = total * (n - 1) in
@@ -179,8 +182,9 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     last_delivery.(chunk) <- now;
     let d = now -. inject_time.(chunk) in
     if !ndelays = Array.length !delays then begin
-      let grown = Array.make (min (2 * !ndelays) max_delays) 0.0 in
-      Array.blit !delays 0 grown 0 !ndelays;
+      let len = !ndelays in
+      let grown = Array.make (if 4 * len > max_delays then max_delays else 2 * len) 0.0 in
+      Array.blit !delays 0 grown 0 len;
       delays := grown
     end;
     !delays.(!ndelays) <- d;

@@ -347,6 +347,157 @@ let prop_band_high_priority_bound =
       Sim.run sim;
       !arrival -. t1 <= latency +. (2.0 /. cap) +. 1e-9)
 
+(* The fan-out path against one event per message. One flood runs
+   twice: its receiver relays through [send_neighbors_except], which
+   takes one pooled event per fan-out when it can, or loops
+   [Network.send] over the row in ascending order, one event per
+   message. Both runs must log the same deliveries (time, src, dst,
+   message, and [Sim.events_processed] as the receiver reads it) and
+   end with the same counters. Crashes and recoveries land both from
+   scheduled callbacks and from inside a receiver, that is, in the
+   middle of a fan-out. Loss, failed links, a latency model and
+   tracing switch the fan-out off, some of them mid-run. *)
+type fault =
+  | Crash of int
+  | Recover of int
+  | Fail of int * int
+  | Restore of int * int
+  | Loss of float
+
+type flood_case = {
+  graph : Graph.t;
+  engine : Sim.engine;
+  processing : float;
+  fbands : int;
+  latency : Network.latency option;
+  loss0 : float;
+  traced : bool;
+  failed0 : (int * int) list;
+  timeline : (float * fault) list;  (** scheduled callbacks *)
+  in_receiver : (int * fault) list;  (** crashes and recoveries at the i-th delivery *)
+}
+
+let gen_flood_case seed =
+  let module Prng = Graph_core.Prng in
+  let r = Prng.create ~seed in
+  let n = 2 + Prng.int r 30 in
+  let graph = Generators.random_tree r ~n in
+  let extra = Generators.gnp r ~n ~p:(0.05 +. Prng.float r 0.3) in
+  List.iter (fun (u, v) -> Graph.add_edge graph u v) (Graph.edges extra);
+  let edges = Array.of_list (Graph.edges graph) in
+  let edge () = edges.(Prng.int r (Array.length edges)) in
+  let node () = Prng.int r n in
+  let coin p = Prng.float r 1.0 < p in
+  let timeline =
+    List.init (Prng.int r 6) (fun _ ->
+        (* integer times coincide with flood rounds; the callbacks were
+           scheduled first, so they run before that round's arrivals *)
+        let at = if coin 0.5 then float_of_int (1 + Prng.int r 8) else Prng.float r 8.0 in
+        let ev =
+          match Prng.int r 5 with
+          | 0 -> Crash (node ())
+          | 1 -> Recover (node ())
+          | 2 ->
+              let u, v = edge () in
+              Fail (u, v)
+          | 3 ->
+              let u, v = edge () in
+              Restore (u, v)
+          | _ -> Loss (if coin 0.5 then 0.0 else 0.3)
+        in
+        (at, ev))
+  in
+  {
+    graph;
+    engine = (if coin 0.5 then Sim.Calendar else Sim.Heap);
+    processing = (if coin 0.5 then 0.0 else 0.4);
+    fbands = 1 + Prng.int r 2;
+    latency = (if coin 0.2 then Some (Network.uniform_latency ~lo:0.5 ~hi:1.5) else None);
+    loss0 = (if coin 0.2 then 0.2 else 0.0);
+    traced = coin 0.2;
+    failed0 = (if coin 0.2 then [ edge () ] else []);
+    timeline;
+    in_receiver =
+      List.init (Prng.int r 4) (fun _ ->
+          (Prng.int r 40, if coin 0.6 then Crash (node ()) else Recover (node ())));
+  }
+
+let run_flood_case ~fanout ~seed c =
+  let obs = Obs.Registry.create () in
+  let sim = Sim.create ~seed ~engine:c.engine ~obs () in
+  let csr = Csr.of_graph c.graph in
+  let trace = if c.traced then Some (Netsim.Trace.create ()) else None in
+  let net =
+    Network.create ~sim ~csr ?latency:c.latency ~loss_rate:c.loss0
+      ~processing_delay:c.processing ~bands:c.fbands ?trace ~obs ()
+  in
+  let apply = function
+    | Crash v -> Network.crash net v
+    | Recover v -> Network.recover net v
+    | Fail (u, v) -> Network.fail_link net u v
+    | Restore (u, v) -> Network.restore_link net u v
+    | Loss p -> Network.set_loss_rate net p
+  in
+  List.iter (fun (u, v) -> Network.fail_link net u v) c.failed0;
+  List.iter (fun (at, f) -> Sim.schedule_at sim ~time:at (fun () -> apply f)) c.timeline;
+  let relay ~src ~except msg =
+    Network.set_send_band net (src mod c.fbands);
+    if fanout then Network.send_neighbors_except net ~src ~except msg
+    else
+      List.iter
+        (fun dst -> if dst <> except then Network.send net ~src ~dst msg)
+        (Csr.neighbors csr src)
+  in
+  let seen = Array.make (Csr.n csr) false in
+  let log = ref [] and deliveries = ref 0 in
+  Network.set_receiver net (fun ~dst ~src msg ->
+      log := (Sim.now sim, src, dst, msg, Sim.events_processed sim) :: !log;
+      if not seen.(dst) then begin
+        seen.(dst) <- true;
+        relay ~src:dst ~except:src (msg + 1)
+      end;
+      List.iter (fun (i, f) -> if i = !deliveries then apply f) c.in_receiver;
+      incr deliveries);
+  seen.(0) <- true;
+  relay ~src:0 ~except:(-1) 0;
+  Sim.run sim;
+  let counter name = Obs.Registry.counter_value (Obs.Registry.counter obs name) in
+  ( List.rev !log,
+    Network.stats net,
+    List.init c.fbands (fun band -> Network.band_stats net ~band),
+    Sim.events_processed sim,
+    (counter "sim.events", counter "net.sent", counter "net.delivered"),
+    Option.map Netsim.Trace.events trace )
+
+let prop_fanout_matches_per_message_sends =
+  qcheck ~count:300 "fan-out event = one event per message"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let c = gen_flood_case seed in
+      run_flood_case ~fanout:true ~seed c = run_flood_case ~fanout:false ~seed c)
+
+(* A unit-latency flood keeps at most one pending event per relaying
+   node: each fan-out is one event, so the peak of [Sim.pending] stays
+   within n where one event per wire message would not. *)
+let test_fanout_pending_peak () =
+  let n = 16386 in
+  let csr = Csr.of_graph (Lhg_core.Build.kdiamond_exn ~n ~k:4).Lhg_core.Build.graph in
+  let sim = Sim.create () in
+  let net = Network.create ~sim ~csr () in
+  let seen = Array.make n false and covered = ref 1 and peak = ref 0 in
+  Network.set_receiver net (fun ~dst ~src _ ->
+      peak := max !peak (Sim.pending sim);
+      if not seen.(dst) then begin
+        seen.(dst) <- true;
+        incr covered;
+        Network.send_neighbors_except net ~src:dst ~except:src 0
+      end);
+  seen.(0) <- true;
+  Network.send_neighbors_except net ~src:0 ~except:(-1) 0;
+  Sim.run sim;
+  check_int "covered" n !covered;
+  check_bool (Printf.sprintf "peak pending %d <= n = %d" !peak n) true (!peak <= n)
+
 let suite =
   [
     Alcotest.test_case "basic delivery" `Quick test_basic_delivery;
@@ -375,4 +526,6 @@ let suite =
     prop_band_fifo_and_conservation;
     prop_band_high_priority_bound;
     Alcotest.test_case "send checks message range" `Quick test_send_checks_message_range;
+    prop_fanout_matches_per_message_sends;
+    Alcotest.test_case "fan-out pending peak <= n" `Quick test_fanout_pending_peak;
   ]

@@ -333,6 +333,34 @@ let test_driver_allocation () =
     (Printf.sprintf "%.4f minor words per wire message (bound 1)" per_message)
     true (per_message <= 1.0)
 
+(* Allocation pin for the capacity path: a capacity-1 Block stream on
+   kdiamond n = 1026 with Obs off (4 sources x 64 chunks at rate 0.7,
+   about 0.8M wire messages). Link admission is inlined into the send,
+   so the departure time is not boxed on its way out of the link FIFO.
+   What is left, about 2 words, is the time boxed for the call into
+   [Sim.schedule_message], which cannot inline across modules when the
+   build passes -opaque (dune's dev profile). *)
+let test_capacity_stream_allocation () =
+  let spec =
+    { Scenario.Spec.default with Scenario.Spec.topology = "kdiamond"; n = 1026; k = 4 }
+  in
+  let csr =
+    match Scenario.Spec.csr spec with Ok c -> c | Error e -> Alcotest.failf "csr: %s" e
+  in
+  let workload =
+    Workload.default |> Workload.with_source_count 4 |> Workload.with_chunks_per_source 64
+    |> Workload.with_rate 0.7
+  in
+  let env = env_with ~seed:1 ~capacity:1.0 ~queue_cap:8 ~policy:Network.Block () in
+  let w0 = Gc.minor_words () in
+  let r = Driver.run_csr_env ~env ~csr ~workload () in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "all covered" true r.Driver.all_covered;
+  let per_message = words /. float_of_int r.Driver.wire_messages in
+  check_bool
+    (Printf.sprintf "%.4f minor words per wire message (bound 2.5)" per_message)
+    true (per_message <= 2.5)
+
 (* The paper-scale streams of EXPERIMENTS.md B7 and B8: kdiamond and
    the random k-regular configuration model at n = 1026, k = 4, seed 7,
    through capacity-1 links with queue cap 8. Every bound below is on
@@ -447,4 +475,5 @@ let suite =
     Alcotest.test_case "B7: LHG vs random regular, n=1026" `Slow test_b7_lhg_vs_random_regular;
     Alcotest.test_case "B8: trees close the p95 gap, n=1026" `Slow test_b8_trees_close_the_gap;
     Alcotest.test_case "B8: 3 links down mid-stream, n=1026" `Slow test_b8_link_chaos;
+    Alcotest.test_case "capacity stream allocation" `Quick test_capacity_stream_allocation;
   ]
