@@ -3,6 +3,7 @@
    paper-style plot would be drawn from. *)
 
 module Graph = Graph_core.Graph
+module Csr = Graph_core.Csr
 module Paths = Graph_core.Paths
 module Degree = Graph_core.Degree
 module Prng = Graph_core.Prng
@@ -18,6 +19,10 @@ let header title =
 let diameter_of g = match Paths.diameter g with Some d -> d | None -> -1
 
 let lhg_graph ~n ~k = (Build.kdiamond_exn ~n ~k).Build.graph
+
+(* the same kdiamond, realised straight into the frozen form the
+   simulators read *)
+let lhg_csr ~n ~k = Build.build_csr_exn Build.Kdiamond ~n ~k
 
 let ktree_graph ~n ~k = (Build.ktree_exn ~n ~k).Build.graph
 
@@ -53,13 +58,15 @@ let f2 () =
   Printf.printf "%8s %10s %10s %10s %10s\n" "n" "harary" "kdiamond" "expander" "hypercube";
   List.iter
     (fun n ->
-      let rounds g = (Sync.flood_env ~env:Flood.Env.default g ~source:0).Sync.rounds in
-      let h = rounds (Harary.make ~k:4 ~n) in
-      let kd = rounds (lhg_graph ~n ~k:4) in
-      let ex = rounds (Topo.Expander.random_regular (Prng.create ~seed:n) ~n ~degree:4) in
+      let rounds csr = (Sync.flood_csr csr ~source:0).Sync.rounds in
+      let h = rounds (Csr.of_graph (Harary.make ~k:4 ~n)) in
+      let kd = rounds (lhg_csr ~n ~k:4) in
+      let ex =
+        rounds (Csr.of_graph (Topo.Expander.random_regular (Prng.create ~seed:n) ~n ~degree:4))
+      in
       let hc =
         if Topo.Hypercube.admissible ~n ~k:4 then
-          string_of_int (rounds (Topo.Hypercube.make ~dim:4))
+          string_of_int (rounds (Csr.of_graph (Topo.Hypercube.make ~dim:4)))
         else "-"
       in
       Printf.printf "%8d %10d %10d %10d %10s\n" n h kd ex hc)
@@ -88,23 +95,23 @@ let t1 () =
 let f3 () =
   header "F3  coverage vs crash count (n=512, k=4, 30 trials)";
   let n = 514 and k = 4 and trials = 30 in
-  let lhg = lhg_graph ~n ~k in
-  let harary = Harary.make ~k ~n in
+  let lhg = lhg_csr ~n ~k in
+  let harary = Csr.of_graph (Harary.make ~k ~n) in
   Printf.printf "%8s | %21s | %21s | %21s | %10s\n" "crashes" "LHG cover% / all-ok%"
     "Harary cover% / ok%" "gossip cover% / ok%" "LHG advrs";
   for f = 0 to 12 do
-    let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:21 ()) ~graph:lhg ~source:0 ~crash_count:f ~trials () in
-    let h = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:21 ()) ~graph:harary ~source:0 ~crash_count:f ~trials () in
+    let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:21 ()) ~csr:lhg ~source:0 ~crash_count:f ~trials () in
+    let h = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:21 ()) ~csr:harary ~source:0 ~crash_count:f ~trials () in
     let g =
-      Runner.gossip_trials_env ~env:(Flood.Env.make ~seed:21 ()) ~graph:lhg ~source:0 ~fanout:k ~crash_count:f ~trials ()
+      Runner.gossip_trials_env ~env:(Flood.Env.make ~seed:21 ()) ~csr:lhg ~source:0 ~fanout:k ~crash_count:f ~trials ()
     in
     (* adversarial: crash f members of the neighbourhood of victim 1 *)
     let adversarial =
-      let victim = Graph.n lhg - 1 in
+      let victim = Csr.n lhg - 1 in
       let crashed =
-        List.filteri (fun i _ -> i < f) (Graph.neighbors lhg victim)
+        List.filteri (fun i _ -> i < f) (Csr.neighbors lhg victim)
       in
-      let r = Flood.Flooding.run_env ~env:(Flood.Env.make ~crashed ()) ~graph:lhg ~source:0 () in
+      let r = Flood.Flooding.run_csr_env ~env:(Flood.Env.make ~crashed ()) ~csr:lhg ~source:0 () in
       if r.Flood.Flooding.covers_all_alive then "ok" else "PARTITION"
     in
     Printf.printf "%8d | %9.2f%% / %6.0f%% | %9.2f%% / %6.0f%% | %9.2f%% / %6.0f%% | %10s%s\n" f
@@ -125,10 +132,10 @@ let f4 () =
   Printf.printf "%8s %12s %12s %12s %14s\n" "n" "flood" "2m-(n-1)" "gossip" "gossip/flood";
   List.iter
     (fun n ->
-      let g = lhg_graph ~n ~k:4 in
-      let flood_msgs = (Sync.flood_env ~env:Flood.Env.default g ~source:0).Sync.messages in
-      let agg = Runner.gossip_trials_env ~env:(Flood.Env.make ~seed:33 ()) ~graph:g ~source:0 ~fanout:4 ~crash_count:0 ~trials:10 () in
-      Printf.printf "%8d %12d %12d %12.0f %14.2f\n" n flood_msgs (Sync.message_bound g)
+      let csr = lhg_csr ~n ~k:4 in
+      let flood_msgs = (Sync.flood_csr csr ~source:0).Sync.messages in
+      let agg = Runner.gossip_trials_env ~env:(Flood.Env.make ~seed:33 ()) ~csr ~source:0 ~fanout:4 ~crash_count:0 ~trials:10 () in
+      Printf.printf "%8d %12d %12d %12.0f %14.2f\n" n flood_msgs (Sync.message_bound csr)
         agg.Runner.mean_messages
         (agg.Runner.mean_messages /. float_of_int flood_msgs))
     [ 32; 128; 512; 2048 ]
@@ -137,12 +144,12 @@ let f4 () =
 let f5 () =
   header "F5  flooding latency under f < k failures (n=512, k=4, 30 trials)";
   let n = 514 and k = 4 and trials = 30 in
-  let lhg = lhg_graph ~n ~k in
-  let base = (Sync.flood_env ~env:Flood.Env.default lhg ~source:0).Sync.rounds in
+  let lhg = lhg_csr ~n ~k in
+  let base = (Sync.flood_csr lhg ~source:0).Sync.rounds in
   Printf.printf "failure-free rounds: %d\n" base;
   Printf.printf "%8s %12s %14s %12s\n" "crashes" "mean hops" "mean time" "coverage";
   for f = 0 to k - 1 do
-    let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:55 ()) ~graph:lhg ~source:0 ~crash_count:f ~trials () in
+    let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:55 ()) ~csr:lhg ~source:0 ~crash_count:f ~trials () in
     Printf.printf "%8d %12.2f %14.2f %11.1f%%\n" f a.Runner.mean_max_hops a.Runner.mean_completion
       (100.0 *. a.Runner.mean_coverage)
   done
@@ -227,8 +234,9 @@ let t5 () =
 let f6 () =
   header "F6  delivery reliability vs node-failure probability (n~200, k=4, 400 trials)";
   let n = 200 and k = 4 and trials = 400 in
-  let lhg = lhg_graph ~n:(n + 2) ~k in
-  let tree = Topo.Spanning_tree.bfs_tree lhg ~root:0 in
+  let lhg_g = lhg_graph ~n:(n + 2) ~k in
+  let lhg = Csr.of_graph lhg_g in
+  let tree = Csr.of_graph (Topo.Spanning_tree.bfs_tree lhg_g ~root:0) in
   Printf.printf "%8s | %22s | %22s | %22s\n" "p" "LHG flood [95% CI]" "tree flood [95% CI]"
     "LHG gossip f=4 [CI]";
   List.iter
@@ -238,14 +246,14 @@ let f6 () =
           e.Flood.Reliability.lo e.Flood.Reliability.hi
       in
       let a =
-        Flood.Reliability.flood_delivery ~graph:lhg ~source:0 ~node_failure_prob:p ~trials ~seed:71 ()
+        Flood.Reliability.flood_delivery ~csr:lhg ~source:0 ~node_failure_prob:p ~trials ~seed:71 ()
       in
       let t =
-        Flood.Reliability.flood_delivery ~graph:tree ~source:0 ~node_failure_prob:p ~trials
+        Flood.Reliability.flood_delivery ~csr:tree ~source:0 ~node_failure_prob:p ~trials
           ~seed:71 ()
       in
       let g =
-        Flood.Reliability.gossip_delivery ~graph:lhg ~source:0 ~fanout:4 ~node_failure_prob:p
+        Flood.Reliability.gossip_delivery ~csr:lhg ~source:0 ~fanout:4 ~node_failure_prob:p
           ~trials:(trials / 4) ~seed:71 ()
       in
       Printf.printf "%8.3f | %22s | %22s | %22s\n" p (f a) (f t) (f g))
@@ -271,7 +279,7 @@ let f7 () =
 let f8 () =
   header "F8  reliable broadcast vs loss rate (n=200, k=4, 5 payloads, period 3)";
   let n = 200 and k = 4 in
-  let g = lhg_graph ~n:(n + 2) ~k in
+  let csr = lhg_csr ~n:(n + 2) ~k in
   let pubs =
     List.init 5 (fun i -> { Flood.Multi.origin = i * 11; inject_time = 0.0; payload_id = i })
   in
@@ -281,14 +289,14 @@ let f8 () =
     (fun loss ->
       (* flood-only baseline: fraction of (node, payload) delivered *)
       let base =
-        let r = Flood.Multi.run_env ~env:(Flood.Env.make ~loss_rate:loss ~seed:3 ()) ~graph:g ~publications:pubs () in
+        let r = Flood.Multi.run_env ~env:(Flood.Env.make ~loss_rate:loss ~seed:3 ()) ~csr ~publications:pubs () in
         let total =
           List.fold_left (fun acc s -> acc + s.Flood.Multi.delivered_count) 0 r.Flood.Multi.per_message
         in
-        float_of_int total /. float_of_int (Graph.n g * 5)
+        float_of_int total /. float_of_int (Csr.n csr * 5)
       in
       let r =
-        Flood.Reliable.run_env ~env:(Flood.Env.make ~loss_rate:loss ~seed:3 ()) ~graph:g ~publications:pubs ~anti_entropy_period:3.0 ~duration:2000.0 ()
+        Flood.Reliable.run_env ~env:(Flood.Env.make ~loss_rate:loss ~seed:3 ()) ~csr ~publications:pubs ~anti_entropy_period:3.0 ~duration:2000.0 ()
       in
       Printf.printf "%8.2f | %11.2f%% | %10b %12s %12d %18s\n" loss (100.0 *. base)
         r.Flood.Reliable.complete
@@ -309,10 +317,10 @@ let f9 () =
     "har detect" "msgs (lhg)";
   List.iter
     (fun n ->
-      let lhg = lhg_graph ~n ~k:4 in
-      let h = Harary.make ~k:4 ~n in
-      let rl = Flood.Pif.run_env ~env:Flood.Env.default ~graph:lhg ~source:0 () in
-      let rh = Flood.Pif.run_env ~env:Flood.Env.default ~graph:h ~source:0 () in
+      let lhg = lhg_csr ~n ~k:4 in
+      let h = Csr.of_graph (Harary.make ~k:4 ~n) in
+      let rl = Flood.Pif.run_env ~env:Flood.Env.default ~csr:lhg ~source:0 () in
+      let rh = Flood.Pif.run_env ~env:Flood.Env.default ~csr:h ~source:0 () in
       Printf.printf "%8d | %10.0f %12.0f | %10.0f %12.0f | %12d\n" n
         rl.Flood.Pif.last_delivery_at rl.Flood.Pif.completion_detected_at
         rh.Flood.Pif.last_delivery_at rh.Flood.Pif.completion_detected_at rl.Flood.Pif.messages)
@@ -399,8 +407,9 @@ let f11 () =
         List.fold_left (fun acc s -> Float.max acc s.Flood.Multi.completion) 0.0
           r.Flood.Multi.per_message
       in
-      let plain = Flood.Multi.run_env ~env:Flood.Env.default ~graph:g ~publications:pubs () in
-      let contended = Flood.Multi.run_env ~env:(Flood.Env.make ~processing_delay:0.5 ()) ~graph:g ~publications:pubs () in
+      let csr = Csr.of_graph g in
+      let plain = Flood.Multi.run_env ~env:Flood.Env.default ~csr ~publications:pubs () in
+      let contended = Flood.Multi.run_env ~env:(Flood.Env.make ~processing_delay:0.5 ()) ~csr ~publications:pubs () in
       let s = Degree.stats g in
       Printf.printf "%14s %8d %10d | %12.1f %14.1f %14.1f\n" name (Graph.m g) s.Degree.max_degree
         (mean_completion plain) (mean_completion contended) (max_completion contended))
@@ -516,7 +525,7 @@ let b2 () =
   let t1 = Sys.time () in
   let g = b.Build.graph in
   Printf.printf "built: n=%d m=%d in %.3f s\n" (Graph.n g) (Graph.m g) (t1 -. t0);
-  let s = Sync.flood_env ~env:Flood.Env.default g ~source:0 in
+  let s = Sync.flood_csr (Csr.of_graph g) ~source:0 in
   let t2 = Sys.time () in
   Printf.printf "sync flood: %d rounds, %d messages, covers=%b (%.3f s)\n" s.Sync.rounds
     s.Sync.messages s.Sync.covers_all_alive (t2 -. t1);

@@ -1,9 +1,9 @@
 (* B1: bechamel micro-benchmarks — construction and verification cost.
    One Test.make per operation; results printed as ns/run estimates.
 
-   The bfs/flood entries come in Set-vs-CSR pairs at n ∈ {1k, 16k, 131k}
-   so the flat-array fast path (Graph_core.Csr + Bfs.Workspace) is
-   measured against the Set.Make(Int) adjacency walk it replaced.
+   The bfs entries walk the flat-array CSR (Graph_core.Csr +
+   Bfs.Workspace) at n ∈ {1k, 16k, 131k}; their fixtures are realised
+   straight into CSR, so no 131k-node adjacency-set graph is built.
    LHG_BENCH_QUOTA_MS shrinks the per-test quota (CI smoke runs). *)
 
 open Bechamel
@@ -13,53 +13,47 @@ module Bfs = Graph_core.Bfs
 
 let graph_1k = lazy ((Lhg_core.Build.kdiamond_exn ~n:1026 ~k:4).Lhg_core.Build.graph)
 
-let graph_16k = lazy ((Lhg_core.Build.kdiamond_exn ~n:16386 ~k:4).Lhg_core.Build.graph)
-
-let graph_131k = lazy ((Lhg_core.Build.kdiamond_exn ~n:131074 ~k:4).Lhg_core.Build.graph)
-
 let graph_256 = lazy ((Lhg_core.Build.kdiamond_exn ~n:258 ~k:4).Lhg_core.Build.graph)
 
-let csr_1k = lazy (Csr.of_graph (Lazy.force graph_1k))
+let kdiamond_csr n = lazy (Lhg_core.Build.build_csr_exn Lhg_core.Build.Kdiamond ~n ~k:4)
 
-let csr_16k = lazy (Csr.of_graph (Lazy.force graph_16k))
+let csr_256 = kdiamond_csr 258
 
-let csr_131k = lazy (Csr.of_graph (Lazy.force graph_131k))
+let csr_1k = kdiamond_csr 1026
+
+let csr_16k = kdiamond_csr 16386
+
+let csr_131k = kdiamond_csr 131074
 
 let workspace = Bfs.Workspace.create ()
 
-let bfs_pair name graph csr =
-  [
-    Test.make ~name:("bfs set " ^ name) (Staged.stage (fun () ->
-        ignore (Bfs.distances (Lazy.force graph) ~src:0)));
-    Test.make ~name:("bfs csr " ^ name) (Staged.stage (fun () ->
-        ignore (Bfs.csr_distances_into workspace (Lazy.force csr) ~src:0)));
-  ]
+let bfs name csr =
+  Test.make ~name:("bfs csr " ^ name) (Staged.stage (fun () ->
+      ignore (Bfs.csr_distances_into workspace (Lazy.force csr) ~src:0)))
 
 let tests =
   Test.make_grouped ~name:"lhg" ~fmt:"%s %s"
-    ([
-       Test.make ~name:"build ktree n=1024 k=4" (Staged.stage (fun () ->
-           ignore (Lhg_core.Build.ktree_exn ~n:1024 ~k:4)));
-       Test.make ~name:"build kdiamond n=1026 k=4" (Staged.stage (fun () ->
-           ignore (Lhg_core.Build.kdiamond_exn ~n:1026 ~k:4)));
-       Test.make ~name:"build harary n=1024 k=4" (Staged.stage (fun () ->
-           ignore (Harary.make ~k:4 ~n:1024)));
-       Test.make ~name:"csr of_graph n=1026" (Staged.stage (fun () ->
-           ignore (Csr.of_graph (Lazy.force graph_1k))));
-     ]
-    @ bfs_pair "n=1026" graph_1k csr_1k
-    @ bfs_pair "n=16386" graph_16k csr_16k
-    @ bfs_pair "n=131074" graph_131k csr_131k
-    @ [
-        Test.make ~name:"sync flood graph n=1026" (Staged.stage (fun () ->
-            ignore (Flood.Sync.flood_env ~env:Flood.Env.default (Lazy.force graph_1k) ~source:0)));
-        Test.make ~name:"sync flood csr n=1026" (Staged.stage (fun () ->
-            ignore (Flood.Sync.flood_csr ~workspace (Lazy.force csr_1k) ~source:0)));
-        Test.make ~name:"is_4_connected n=258" (Staged.stage (fun () ->
-            ignore (Graph_core.Connectivity.is_k_vertex_connected (Lazy.force graph_256) ~k:4)));
-        Test.make ~name:"event flood n=258" (Staged.stage (fun () ->
-            ignore (Flood.Flooding.run_env ~env:Flood.Env.default ~graph:(Lazy.force graph_256) ~source:0 ())));
-      ])
+    [
+      Test.make ~name:"build ktree n=1024 k=4" (Staged.stage (fun () ->
+          ignore (Lhg_core.Build.ktree_exn ~n:1024 ~k:4)));
+      Test.make ~name:"build kdiamond n=1026 k=4" (Staged.stage (fun () ->
+          ignore (Lhg_core.Build.kdiamond_exn ~n:1026 ~k:4)));
+      Test.make ~name:"build harary n=1024 k=4" (Staged.stage (fun () ->
+          ignore (Harary.make ~k:4 ~n:1024)));
+      Test.make ~name:"csr of_graph n=1026" (Staged.stage (fun () ->
+          ignore (Csr.of_graph (Lazy.force graph_1k))));
+      bfs "n=1026" csr_1k;
+      bfs "n=16386" csr_16k;
+      bfs "n=131074" csr_131k;
+      Test.make ~name:"sync flood csr n=1026" (Staged.stage (fun () ->
+          ignore (Flood.Sync.flood_csr ~workspace (Lazy.force csr_1k) ~source:0)));
+      Test.make ~name:"is_4_connected n=258" (Staged.stage (fun () ->
+          ignore (Graph_core.Connectivity.is_k_vertex_connected (Lazy.force graph_256) ~k:4)));
+      Test.make ~name:"event flood csr n=258" (Staged.stage (fun () ->
+          ignore
+            (Flood.Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Lazy.force csr_256) ~source:0
+               ())));
+    ]
 
 let quota_seconds =
   match Sys.getenv_opt "LHG_BENCH_QUOTA_MS" with

@@ -29,7 +29,10 @@ let () =
         (* broadcast with k-1 random crashes at every epoch *)
         let rng = Graph_core.Prng.create ~seed:n in
         let crashed = Flood.Runner.random_crashes rng ~n ~count:(k - 1) ~avoid:0 in
-        let f = Flood.Flooding.run_env ~env:(Flood.Env.make ~crashed ~seed:n ()) ~graph:g ~source:0 () in
+        let f =
+          Flood.Flooding.run_csr_env ~env:(Flood.Env.make ~crashed ~seed:n ())
+            ~csr:(Graph_core.Csr.of_graph g) ~source:0 ()
+        in
         Printf.printf "%6d %18s %8d %8d | %8b %9b %10d\n" n
           (Incremental.op_name r.Incremental.op)
           r.Incremental.edges_added r.Incremental.edges_removed
@@ -48,10 +51,7 @@ let () =
        "the grown overlay is a Logarithmic Harary Graph"
      else "NOT an LHG (bug!)");
   (* flooding latency stayed logarithmic throughout: compare ends *)
-  let rounds n' =
-    let b = Lhg_core.Build.kdiamond_exn ~n:n' ~k in
-    (Flood.Sync.flood_env ~env:Flood.Env.default b.Lhg_core.Build.graph ~source:0).Flood.Sync.rounds
-  in
+  let rounds csr = (Flood.Sync.flood_csr csr ~source:0).Flood.Sync.rounds in
   Printf.printf "canonical build at n=320 floods in %d rounds; the grown overlay in %d\n"
-    (rounds 320)
-    (Flood.Sync.flood_env ~env:Flood.Env.default g ~source:0).Flood.Sync.rounds
+    (rounds (Lhg_core.Build.build_csr_exn Lhg_core.Build.Kdiamond ~n:320 ~k))
+    (rounds (Graph_core.Csr.of_graph g))

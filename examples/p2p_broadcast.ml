@@ -37,7 +37,7 @@ let () =
   List.iter
     (fun (name, g) ->
       let agg =
-        Flood.Runner.flood_trials_env ~env:(Flood.Env.make ~latency ~loss_rate:0.005 ~seed:7 ()) ~graph:g ~source:0 ~crash_count ~trials ()
+        Flood.Runner.flood_trials_env ~env:(Flood.Env.make ~latency ~loss_rate:0.005 ~seed:7 ()) ~csr:(Graph_core.Csr.of_graph g) ~source:0 ~crash_count ~trials ()
       in
       let diam =
         match Graph_core.Paths.diameter g with Some d -> string_of_int d | None -> "inf"
@@ -53,7 +53,7 @@ let () =
      weaker, probabilistic guarantee. *)
   let lhg = List.assoc "LHG (K-DIAMOND)" (overlays ()) in
   let agg =
-    Flood.Runner.gossip_trials_env ~env:(Flood.Env.make ~loss_rate:0.005 ~seed:8 ()) ~graph:lhg ~source:0 ~fanout:k ~crash_count ~trials ()
+    Flood.Runner.gossip_trials_env ~env:(Flood.Env.make ~loss_rate:0.005 ~seed:8 ()) ~csr:(Graph_core.Csr.of_graph lhg) ~source:0 ~fanout:k ~crash_count ~trials ()
   in
   Printf.printf "gossip on the same LHG (fanout %d): coverage %.1f%%, all-ok %.0f%%, msgs %.0f\n" k
     (100.0 *. agg.Flood.Runner.mean_coverage)

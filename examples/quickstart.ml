@@ -30,13 +30,15 @@ let () =
   in
   Printf.printf "diameter: LHG = %d, classic Harary = %d\n" (diam g) (diam h);
 
-  (* 4. Flood the network from node 0 and watch it reach everyone. *)
-  let r = Flood.Flooding.run_env ~env:Flood.Env.default ~graph:g ~source:0 () in
+  (* 4. Freeze the topology once (the simulators read the flat CSR
+     snapshot), then flood it from node 0 and watch it reach everyone. *)
+  let csr = Graph_core.Csr.of_graph g in
+  let r = Flood.Flooding.run_csr_env ~env:Flood.Env.default ~csr ~source:0 () in
   Printf.printf "flooding: %d messages, %d rounds, covered everyone: %b\n"
     r.Flood.Flooding.messages_sent r.Flood.Flooding.max_hops r.Flood.Flooding.covers_all_alive;
 
   (* 5. Crash any k-1 = 3 nodes: delivery to all survivors is guaranteed. *)
-  let r = Flood.Flooding.run_env ~env:(Flood.Env.make ~crashed:[ 7; 21; 40 ] ()) ~graph:g ~source:0 () in
+  let r = Flood.Flooding.run_csr_env ~env:(Flood.Env.make ~crashed:[ 7; 21; 40 ] ()) ~csr ~source:0 () in
   Printf.printf "with 3 crashes: covered all survivors: %b\n" r.Flood.Flooding.covers_all_alive;
 
   (* 6. Export for graphviz, coloured by construction role (root copies,

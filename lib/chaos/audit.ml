@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Csr = Graph_core.Csr
 module Prng = Graph_core.Prng
 module Env = Flood.Env
@@ -48,7 +47,7 @@ let compose_prepare base plan net =
   Option.iter (fun first -> first net) base;
   Exec.install net plan
 
-let run_one ~env ~graph ~source ~csr ~static_crashed ~static_links ~seed ~obs ~index plan =
+let run_one ~env ~csr ~source ~static_crashed ~static_links ~seed ~obs ~index plan =
   let crashed_all =
     Iset.union static_crashed (Iset.of_list (Plan.crash_victims plan)) |> Iset.elements
   in
@@ -66,8 +65,8 @@ let run_one ~env ~graph ~source ~csr ~static_crashed ~static_links ~seed ~obs ~i
       prepare = Some (compose_prepare env.Env.prepare plan);
     }
   in
-  let r = Flood.Flooding.run_env ~env:run_env ~graph ~source () in
-  let n = Graph.n graph in
+  let r = Flood.Flooding.run_csr_env ~env:run_env ~csr ~source () in
+  let n = Csr.n csr in
   let obliged = Array.make n true in
   List.iter (fun v -> obliged.(v) <- false) crashed_all;
   let obligated = ref 0 and delivered = ref 0 and unreached = ref [] in
@@ -115,12 +114,11 @@ let derive_seeds ~env n =
   let rng = Prng.create ~seed:(Env.seed_value env) in
   Array.init n (fun _ -> Int64.to_int (Prng.bits64 rng) land max_int)
 
-let run ~env ~graph ~k ~source ~plans =
+let run ~env ~csr ~k ~source ~plans =
   if k < 1 then invalid_arg "Audit.run: k < 1";
-  let n = Graph.n graph in
+  let n = Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Audit.run: source out of range";
   if List.mem source env.Env.crashed then invalid_arg "Audit.run: source is statically crashed";
-  let csr = Csr.of_graph graph in
   let plans = Array.of_list plans in
   Array.iteri
     (fun i p ->
@@ -139,7 +137,7 @@ let run ~env ~graph ~k ~source ~plans =
   let one ~obs i =
     reports.(i) <-
       Some
-        (run_one ~env ~graph ~source ~csr ~static_crashed ~static_links ~seed:seeds.(i) ~obs
+        (run_one ~env ~csr ~source ~static_crashed ~static_links ~seed:seeds.(i) ~obs
            ~index:i plans.(i))
   in
   (match env.Env.pool with

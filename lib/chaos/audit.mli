@@ -71,12 +71,13 @@ type t = {
 
 val run :
   env:Flood.Env.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   k:int ->
   source:int ->
   plans:Plan.t list ->
   t
-(** Flood [graph] from [source] once per plan and aggregate. [env]
+(** Flood the frozen topology [csr] from [source] once per plan and
+    aggregate — every plan runs on the one snapshot. [env]
     supplies everything else: latency and loss model, base seed
     (per-plan seeds derive from it), static [crashed]/[failed_links]
     (applied to every run and counted into each plan's weight and

@@ -1,37 +1,35 @@
 (** The unified run environment for every flood-family protocol.
 
-    PR by PR the protocol entry points accreted the same optional
-    arguments — [?latency], [?loss_rate], [?crashed], [?seed], [?obs],
-    [?pool], … — each module spelling a subset of them. [Env.t] bundles
-    the whole run environment into one value with a {!default} and
-    [with_*] builders, so experiment drivers configure once and thread
-    one value through {!Flooding.run_env}, {!Sync.flood_env},
-    {!Multi.run_env}, {!Reliable.run_env}, {!Gossip.run_env},
-    {!Pif.run_env} and {!Runner.flood_trials_env} — and so the chaos
-    auditor can inject a fault plan into any protocol without that
-    protocol knowing what a plan is (the [prepare] hook).
+    [Env.t] bundles the whole run environment — latency, loss,
+    capacity and queueing, static faults, seed, engine, registry,
+    pool — into one value with a {!default} and [with_*] builders, so
+    experiment drivers configure once and thread one value through
+    {!Flooding.run_csr_env}, {!Multi.run_env}, {!Reliable.run_env},
+    {!Gossip.run_env}, {!Pif.run_env}, {!Trees.run_env} and
+    {!Runner.flood_trials_env} — and so the chaos auditor can inject a
+    fault plan into any protocol without that protocol knowing what a
+    plan is (the [prepare] hook).
 
-    {b The Env-only contract.} The [run_env] entry points are the only
-    way to run a protocol: the legacy optional-argument [run] wrappers
-    that used to shadow them were deleted once every caller had moved
-    (they re-spelled a drifting subset of these fields per module,
-    which is exactly the disease this record cures). All code builds an
-    [Env.t]:
+    Every entry point takes the topology as a frozen
+    {!Graph_core.Csr.t}: the caller freezes once and runs as often as
+    it likes.
 
     {[
+      let csr = Lhg_core.Build.build_csr_exn Lhg_core.Build.Kdiamond ~n:1026 ~k:4 in
       let env =
         Flood.Env.default
         |> Flood.Env.with_seed 42
         |> Flood.Env.with_loss_rate 0.05
         |> Flood.Env.with_obs registry
       in
-      Flood.Flooding.run_env ~env ~graph ~source ()
+      Flood.Flooding.run_csr_env ~env ~csr ~source:0 ()
     ]}
 
     Each protocol documents which fields it consumes; unused fields are
     ignored except where noted (e.g. {!Pif.run_env} rejects a non-zero
     [loss_rate] because its echo accounting assumes reliable
-    channels). *)
+    channels). The closed-form {!Sync.flood_csr} takes its alive mask
+    and registry directly. *)
 
 type t = {
   latency : Netsim.Network.latency option;
@@ -96,8 +94,7 @@ val make :
   ?trace:Netsim.Trace.t ->
   unit ->
   t
-(** {!default} with the given fields replaced — the bridge the legacy
-    optional-argument wrappers go through. *)
+(** {!default} with the given fields replaced, in one call. *)
 
 val with_latency : Netsim.Network.latency -> t -> t
 
@@ -150,7 +147,7 @@ val network_of_csr : t -> sim:Netsim.Sim.t -> csr:Graph_core.Csr.t -> Netsim.Net
     delay, link capacity/queueing, trace and registry all applied in
     one place, then the static faults — every [crashed] node crashed,
     every [failed_links] link failed — and finally the [prepare] hook.
-    Every protocol's [run_env] builds its network here, which is what
+    Every protocol entry point builds its network here, which is what
     makes the Env record the {e single} workload surface — a knob added
     here reaches flooding, gossip, PIF, reliable broadcast and the
     traffic driver identically. *)

@@ -93,5 +93,3 @@ let run_csr_env ~env ~csr ~source () =
     max_hops;
     covers_all_alive;
   }
-
-let run_env ~env ~graph ~source () = run_csr_env ~env ~csr:(Csr.of_graph graph) ~source ()

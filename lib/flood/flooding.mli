@@ -17,14 +17,16 @@ type result = {
   covers_all_alive : bool;
 }
 
-val run_env : env:Env.t -> graph:Graph_core.Graph.t -> source:int -> unit -> result
-(** One flooding execution under the given environment — the sole entry
-    point ({!Env} documents the Env-only contract; the legacy
-    optional-argument wrapper is gone). Consumes every {!Env.t} field
-    except [pool] (a single run is sequential): static failures
-    ([crashed], [failed_links]) are injected before the first send,
-    then the [prepare] hook runs (a fault plan schedules its timeline
-    here), then the source floods. The source must not be in
+val run_csr_env : env:Env.t -> csr:Graph_core.Csr.t -> source:int -> unit -> result
+(** One flooding execution over a frozen snapshot under the given
+    environment. The caller freezes the topology once and may flood it
+    any number of times; no adjacency-set graph is involved, which is
+    what lets a million-node topology from
+    {!Lhg_core.Build.build_csr} flood within seconds. Consumes every
+    {!Env.t} field except [pool] (a single run is sequential): static
+    failures ([crashed], [failed_links]) are injected before the first
+    send, then the [prepare] hook runs (a fault plan schedules its
+    timeline here), then the source floods. The source must not be in
     [env.crashed]; a plan may still crash it mid-run.
 
     With an enabled [env.obs], the run publishes — on top of the
@@ -35,13 +37,4 @@ val run_env : env:Env.t -> graph:Graph_core.Graph.t -> source:int -> unit -> res
     [flood.completion_time] and [flood.coverage], counter
     [flood.delivered_nodes], and [Round_start]/[Round_end] span pairs
     for each hop layer.
-    @raise Invalid_argument on a crashed or out-of-range source. *)
-
-val run_csr_env : env:Env.t -> csr:Graph_core.Csr.t -> source:int -> unit -> result
-(** {!run_env} straight over a frozen CSR snapshot — no mutable
-    adjacency-set graph is ever materialised, which is what lets a
-    million-node topology from {!Lhg_core.Build.build_csr} flood within
-    seconds. Identical protocol, environment handling and result; with
-    matching seeds the wire trace is byte-identical to {!run_env} on
-    the same topology.
     @raise Invalid_argument on a crashed or out-of-range source. *)

@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Prng = Graph_core.Prng
 module Sim = Netsim.Sim
 module Network = Netsim.Network
@@ -13,20 +12,19 @@ type result = {
 let default_ttl ~n =
   if n <= 1 then 1 else int_of_float (ceil (log (float_of_int n) /. log 2.0)) + 4
 
-let run_env ~env ~graph ~source ~fanout ~ttl () =
+let run_env ~env ~csr ~source ~fanout ~ttl () =
   if fanout < 1 then invalid_arg "Gossip.run: fanout < 1";
   if ttl < 1 then invalid_arg "Gossip.run: ttl < 1";
   let crashed = env.Env.crashed in
   let obs = env.Env.obs in
-  let n = Graph.n graph in
+  let n = Graph_core.Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Gossip.run: source out of range";
   if List.mem source crashed then invalid_arg "Gossip.run: source is crashed";
   let sim = Env.sim_of env in
-  let net = Env.network_of_csr env ~sim ~csr:(Graph_core.Csr.of_graph graph) in
+  let net = Env.network_of_csr env ~sim ~csr in
   let rng = Sim.fork_rng sim in
   let delivered = Array.make n false in
   let delivery_time = Array.make n (-1.0) in
-  let csr = Network.csr net in
   let off = Graph_core.Csr.offsets csr and nbr = Graph_core.Csr.neighbor_array csr in
   let push v ~ttl =
     let deg = off.(v + 1) - off.(v) in

@@ -16,7 +16,7 @@ type result = {
 
 val run_env :
   env:Env.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   source:int ->
   fanout:int ->
   ttl:int ->

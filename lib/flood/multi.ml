@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Sim = Netsim.Sim
 module Network = Netsim.Network
 
@@ -14,10 +13,10 @@ type message_stats = {
 
 type result = { per_message : message_stats list; total_messages : int; all_covered : bool }
 
-let run_env ~env ~graph ~publications () =
+let run_env ~env ~csr ~publications () =
   let crashed = env.Env.crashed in
   let obs = env.Env.obs in
-  let n = Graph.n graph in
+  let n = Graph_core.Csr.n csr in
   let ids = List.map (fun (p : publication) -> p.payload_id) publications in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Multi.run: duplicate payload ids";
@@ -28,7 +27,7 @@ let run_env ~env ~graph ~publications () =
       if p.inject_time < 0.0 then invalid_arg "Multi.run: negative injection time")
     publications;
   let sim = Env.sim_of env in
-  let net = Env.network_of_csr env ~sim ~csr:(Graph_core.Csr.of_graph graph) in
+  let net = Env.network_of_csr env ~sim ~csr in
   (* the message is the publication's index in [pubs]; per index:
      delivery flags and latest first-delivery time *)
   let pubs = Array.of_list publications in
@@ -42,7 +41,6 @@ let run_env ~env ~graph ~publications () =
       true
     end
   in
-  let csr = Network.csr net in
   let forward v ~except i =
     Graph_core.Csr.iter_neighbors csr v (fun w -> if w <> except then Network.send net ~src:v ~dst:w i)
   in

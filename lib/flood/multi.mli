@@ -27,7 +27,7 @@ type result = {
 }
 
 val run_env :
-  env:Env.t -> graph:Graph_core.Graph.t -> publications:publication list -> unit -> result
+  env:Env.t -> csr:Graph_core.Csr.t -> publications:publication list -> unit -> result
 (** Simulate the schedule under the given environment — the sole entry
     point (see {!Env} for the Env-only contract). Every {!Env.t} field
     except [pool] is consumed; the [prepare] hook runs before the first

@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Sim = Netsim.Sim
 module Network = Netsim.Network
 
@@ -15,16 +14,16 @@ let propagate = 0
 
 let echo = 1
 
-let run_env ~env ~graph ~source () =
+let run_env ~env ~csr ~source () =
   if env.Env.loss_rate > 0.0 then
     invalid_arg "Pif.run: loss_rate unsupported (echo accounting assumes reliable channels)";
   let crashed = env.Env.crashed in
   let obs = env.Env.obs in
-  let n = Graph.n graph in
+  let n = Graph_core.Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Pif.run: source out of range";
   if List.mem source crashed then invalid_arg "Pif.run: source is crashed";
   let sim = Env.sim_of env in
-  let net = Env.network_of_csr env ~sim ~csr:(Graph_core.Csr.of_graph graph) in
+  let net = Env.network_of_csr env ~sim ~csr in
   let m_echoes = Obs.Registry.counter obs "pif.echoes" in
   let informed = Array.make n false in
   let parent = Array.make n (-1) in
@@ -40,7 +39,6 @@ let run_env ~env ~graph ~source () =
     end
     else Network.send net ~src:v ~dst:parent.(v) echo
   in
-  let csr = Network.csr net in
   let propagate_from v ~except =
     let sent = ref 0 in
     Graph_core.Csr.iter_neighbors csr v (fun w ->

@@ -23,7 +23,7 @@ type result = {
   messages : int;  (** propagates + echoes *)
 }
 
-val run_env : env:Env.t -> graph:Graph_core.Graph.t -> source:int -> unit -> result
+val run_env : env:Env.t -> csr:Graph_core.Csr.t -> source:int -> unit -> result
 (** One PIF execution under the given environment — the sole entry
     point (see {!Env} for the Env-only contract). Rejects a non-zero
     [env.loss_rate] — the echo accounting is only meaningful on

@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Prng = Graph_core.Prng
 
 type estimate = { probability : float; lo : float; hi : float; trials : int }
@@ -44,16 +43,15 @@ let draw_failures rng ~n ~source ~p alive =
    sequentially or fan out over any number of domains. *)
 let shard_size = 512
 
-let flood_delivery ?(obs = Obs.Registry.nil) ?pool ~graph ~source ~node_failure_prob ~trials
-    ~seed () =
+let flood_delivery ?(obs = Obs.Registry.nil) ?pool ~csr ~source ~node_failure_prob ~trials ~seed
+    () =
   if trials < 1 then invalid_arg "Reliability.flood_delivery: trials < 1";
   if node_failure_prob < 0.0 || node_failure_prob > 1.0 then
     invalid_arg "Reliability.flood_delivery: probability outside [0,1]";
-  let n = Graph.n graph in
-  (* One frozen snapshot shared by every domain; one BFS workspace and
-     one alive mask per domain, so the per-trial work stays a
+  let n = Graph_core.Csr.n csr in
+  (* The caller's snapshot is shared by every domain; one BFS workspace
+     and one alive mask per domain, so the per-trial work stays a
      flat-array BFS with zero allocation. *)
-  let csr = Graph_core.Csr.of_graph graph in
   let nshards = (trials + shard_size - 1) / shard_size in
   let root = Prng.create ~seed in
   let rngs = Array.init nshards (fun _ -> Prng.split root) in
@@ -85,10 +83,10 @@ let flood_delivery ?(obs = Obs.Registry.nil) ?pool ~graph ~source ~node_failure_
   publish obs ~successes e;
   e
 
-let gossip_delivery ?(obs = Obs.Registry.nil) ~graph ~source ~fanout ~node_failure_prob ~trials
+let gossip_delivery ?(obs = Obs.Registry.nil) ~csr ~source ~fanout ~node_failure_prob ~trials
     ~seed () =
   if trials < 1 then invalid_arg "Reliability.gossip_delivery: trials < 1";
-  let n = Graph.n graph in
+  let n = Graph_core.Csr.n csr in
   let rng = Prng.create ~seed in
   let alive = Array.make n true in
   let ttl = Gossip.default_ttl ~n in
@@ -98,7 +96,7 @@ let gossip_delivery ?(obs = Obs.Registry.nil) ~graph ~source ~fanout ~node_failu
     let crashed = ref [] in
     Array.iteri (fun v live -> if not live then crashed := v :: !crashed) alive;
     let env = Env.default |> Env.with_crashed !crashed |> Env.with_seed (seed + (7919 * t)) in
-    let r = Gossip.run_env ~env ~graph ~source ~fanout ~ttl () in
+    let r = Gossip.run_env ~env ~csr ~source ~fanout ~ttl () in
     if r.Gossip.coverage_of_alive >= 1.0 then incr successes
   done;
   let e = estimate_of ~successes:!successes ~trials in

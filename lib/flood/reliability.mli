@@ -29,7 +29,7 @@ val estimate_of : successes:int -> trials:int -> estimate
 val flood_delivery :
   ?obs:Obs.Registry.t ->
   ?pool:Par.Pool.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   source:int ->
   node_failure_prob:float ->
   trials:int ->
@@ -54,7 +54,7 @@ val flood_delivery :
 
 val gossip_delivery :
   ?obs:Obs.Registry.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   source:int ->
   fanout:int ->
   node_failure_prob:float ->

@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Prng = Graph_core.Prng
 module Sim = Netsim.Sim
 module Network = Netsim.Network
@@ -23,12 +22,12 @@ let kind_data = 2
 
 let encode kind x = (x lsl 2) lor kind
 
-let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
+let run_env ~env ~csr ~publications ~anti_entropy_period ~duration () =
   if anti_entropy_period <= 0.0 then invalid_arg "Reliable.run: non-positive period";
   if duration <= 0.0 then invalid_arg "Reliable.run: non-positive duration";
   let crashed = env.Env.crashed in
   let obs = env.Env.obs in
-  let n = Graph.n graph in
+  let n = Graph_core.Csr.n csr in
   let ids = List.map (fun (p : Multi.publication) -> p.Multi.payload_id) publications in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Reliable.run: duplicate payload ids";
@@ -40,7 +39,7 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
       if p.Multi.inject_time < 0.0 then invalid_arg "Reliable.run: negative injection time")
     publications;
   let sim = Env.sim_of env in
-  let net = Env.network_of_csr env ~sim ~csr:(Graph_core.Csr.of_graph graph) in
+  let net = Env.network_of_csr env ~sim ~csr in
   let m_flood = Obs.Registry.counter obs "reliable.flood_messages" in
   let m_repair = Obs.Registry.counter obs "reliable.repair_messages" in
   let rng = Sim.fork_rng sim in
@@ -96,7 +95,6 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
       true
     end
   in
-  let csr = Network.csr net in
   let forward v ~except i =
     Graph_core.Csr.iter_neighbors csr v (fun w -> if w <> except then send_flood ~src:v ~dst:w i)
   in

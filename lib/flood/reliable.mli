@@ -26,7 +26,7 @@ type result = {
 
 val run_env :
   env:Env.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   publications:Multi.publication list ->
   anti_entropy_period:float ->
   duration:float ->

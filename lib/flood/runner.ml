@@ -1,4 +1,4 @@
-module Graph = Graph_core.Graph
+module Csr = Graph_core.Csr
 module Prng = Graph_core.Prng
 
 type aggregate = {
@@ -21,12 +21,21 @@ let random_crashes rng ~n ~count ~avoid =
   Prng.sample_without_replacement rng ~k:count ~n:(n - 1)
   |> List.map (fun v -> if v >= avoid then v + 1 else v)
 
-let random_link_failures rng g ~count =
-  let es = Array.of_list (Graph.edges g) in
-  if count < 0 || count > Array.length es then
-    invalid_arg "Runner.random_link_failures: bad count";
-  Prng.sample_without_replacement rng ~k:count ~n:(Array.length es)
-  |> List.map (fun i -> es.(i))
+let random_link_failures rng csr ~count =
+  let m = Csr.m csr in
+  if count < 0 || count > m then invalid_arg "Runner.random_link_failures: bad count";
+  let picks = Prng.sample_without_replacement rng ~k:count ~n:m in
+  (* one walk of the edge enumeration resolves every picked position,
+     without materialising the m-edge list *)
+  let edge_at = Hashtbl.create (max 1 count) in
+  List.iter (fun i -> Hashtbl.replace edge_at i (-1, -1)) picks;
+  if count > 0 then begin
+    let i = ref 0 in
+    Csr.iter_edges csr (fun u v ->
+        if Hashtbl.mem edge_at !i then Hashtbl.replace edge_at !i (u, v);
+        incr i)
+  end;
+  List.map (Hashtbl.find edge_at) picks
 
 let coverage_of ~delivered ~crashed ~n =
   let is_crashed = Array.make n false in
@@ -133,12 +142,12 @@ let publish_aggregate obs a =
     Obs.Registry.set (Obs.Registry.gauge obs "runner.p99_completion") a.p99_completion
   end
 
-let flood_trials_env ?(link_failures = 0) ~env ~graph ~source ~crash_count ~trials () =
+let flood_trials_env ?(link_failures = 0) ~env ~csr ~source ~crash_count ~trials () =
   if trials < 1 then invalid_arg "Runner.flood_trials: trials < 1";
   let seed = Env.seed_value env in
   let obs = env.Env.obs in
   let rng = Prng.create ~seed in
-  let n = Graph.n graph in
+  let n = Csr.n csr in
   let h_completion =
     Obs.Registry.histogram obs "runner.completion" ~bounds:Obs.Registry.time_bounds
   in
@@ -146,7 +155,7 @@ let flood_trials_env ?(link_failures = 0) ~env ~graph ~source ~crash_count ~tria
     List.init trials (fun t ->
         let crashed = random_crashes rng ~n ~count:crash_count ~avoid:source in
         let failed_links =
-          if link_failures = 0 then [] else random_link_failures rng graph ~count:link_failures
+          if link_failures = 0 then [] else random_link_failures rng csr ~count:link_failures
         in
         let trial_env =
           env
@@ -155,7 +164,7 @@ let flood_trials_env ?(link_failures = 0) ~env ~graph ~source ~crash_count ~tria
           |> Env.with_seed (seed + (1000 * t))
           |> Env.with_obs obs
         in
-        let r = Flooding.run_env ~env:trial_env ~graph ~source () in
+        let r = Flooding.run_csr_env ~env:trial_env ~csr ~source () in
         Obs.Registry.observe h_completion r.Flooding.completion_time;
         ( coverage_of ~delivered:r.Flooding.delivered ~crashed ~n,
           r.Flooding.messages_sent,
@@ -166,12 +175,12 @@ let flood_trials_env ?(link_failures = 0) ~env ~graph ~source ~crash_count ~tria
   publish_aggregate obs a;
   a
 
-let gossip_trials_env ~env ~graph ~source ~fanout ~crash_count ~trials () =
+let gossip_trials_env ~env ~csr ~source ~fanout ~crash_count ~trials () =
   if trials < 1 then invalid_arg "Runner.gossip_trials: trials < 1";
   let seed = Env.seed_value env in
   let obs = env.Env.obs in
   let rng = Prng.create ~seed in
-  let n = Graph.n graph in
+  let n = Csr.n csr in
   let ttl = Gossip.default_ttl ~n in
   let h_completion =
     Obs.Registry.histogram obs "runner.completion" ~bounds:Obs.Registry.time_bounds
@@ -182,7 +191,7 @@ let gossip_trials_env ~env ~graph ~source ~fanout ~crash_count ~trials () =
         let trial_env =
           env |> Env.with_crashed crashed |> Env.with_seed (seed + (1000 * t)) |> Env.with_obs obs
         in
-        let r = Gossip.run_env ~env:trial_env ~graph ~source ~fanout ~ttl () in
+        let r = Gossip.run_env ~env:trial_env ~csr ~source ~fanout ~ttl () in
         Obs.Registry.observe h_completion r.Gossip.completion_time;
         ( coverage_of ~delivered:r.Gossip.delivered ~crashed ~n,
           r.Gossip.messages_sent,

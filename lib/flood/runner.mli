@@ -36,13 +36,14 @@ val percentile : float array -> len:int -> float -> float
 val random_crashes : Graph_core.Prng.t -> n:int -> count:int -> avoid:int -> int list
 (** [count] distinct crash victims among [0..n-1] − \{avoid\}. *)
 
-val random_link_failures : Graph_core.Prng.t -> Graph_core.Graph.t -> count:int -> (int * int) list
-(** [count] distinct edges of the graph. *)
+val random_link_failures : Graph_core.Prng.t -> Graph_core.Csr.t -> count:int -> (int * int) list
+(** [count] distinct edges of the snapshot, as [u < v] pairs, drawn by
+    position in {!Graph_core.Csr.iter_edges} order. *)
 
 val flood_trials_env :
   ?link_failures:int ->
   env:Env.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   source:int ->
   crash_count:int ->
   trials:int ->
@@ -65,7 +66,7 @@ val flood_trials_env :
 
 val gossip_trials_env :
   env:Env.t ->
-  graph:Graph_core.Graph.t ->
+  csr:Graph_core.Csr.t ->
   source:int ->
   fanout:int ->
   crash_count:int ->

@@ -1,4 +1,3 @@
-module Graph = Graph_core.Graph
 module Csr = Graph_core.Csr
 module Bfs = Graph_core.Bfs
 
@@ -41,15 +40,4 @@ let flood_csr ?workspace ?alive ?(obs = Obs.Registry.nil) csr ~source =
    end);
   { reached = !reached; rounds = !rounds; messages; covers_all_alive = !reached = !alive_total }
 
-let flood_env ~env g ~source =
-  let alive =
-    match env.Env.crashed with
-    | [] -> None
-    | crashed ->
-        let a = Array.make (Graph.n g) true in
-        List.iter (fun v -> a.(v) <- false) crashed;
-        Some a
-  in
-  flood_csr ?alive ~obs:env.Env.obs (Csr.of_graph g) ~source
-
-let message_bound g = (2 * Graph.m g) - (Graph.n g - 1)
+let message_bound csr = (2 * Csr.m csr) - (Csr.n csr - 1)

@@ -23,7 +23,7 @@ val flood_csr :
   t
 (** Flood from [source] over the alive part of a frozen snapshot.
     Messages sent to crashed neighbours are counted as sent (the sender
-    cannot know), matching {!Flooding.run_env}'s accounting. Passing
+    cannot know), matching {!Flooding.run_csr_env}'s accounting. Passing
     [?workspace] makes
     repeated calls over the same (or same-sized) topology allocation-free
     — the path used by {!Reliability}'s Monte-Carlo loops and the large
@@ -34,15 +34,7 @@ val flood_csr :
     first reached in that round); the disabled default records
     nothing and allocates nothing. *)
 
-val flood_env : env:Env.t -> Graph_core.Graph.t -> source:int -> t
-(** {!flood_csr} on a one-shot snapshot of the graph, under a unified
-    environment — the sole graph entry point (the legacy
-    optional-argument wrapper is gone; see {!Env}): [env.crashed]
-    becomes the alive mask, [env.obs] the registry. The closed-form
-    analysis is deterministic and synchronous, so the latency / loss /
-    seed / pool fields are ignored by construction. *)
-
-val message_bound : Graph_core.Graph.t -> int
+val message_bound : Graph_core.Csr.t -> int
 (** The failure-free message count: 2m − (n − 1) — every edge carries
     the payload in both directions except the n−1 first-delivery tree
     edges, which carry it once. *)

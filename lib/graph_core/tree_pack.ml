@@ -857,59 +857,3 @@ let patch t csr ?member ?usable () =
       else orient csr ~source:t.source ~count:t.count ~members ~owner ~eu ~ev
     end
   end
-
-module Cache = struct
-  type pack = t
-
-  type nonrec t = {
-    mutable csr : Csr.t option;
-    tbl : (int * int, pack) Hashtbl.t;
-    mutable evictions : int;
-  }
-
-  let create () = { csr = None; tbl = Hashtbl.create 16; evictions = 0 }
-
-  let discard c =
-    let live = Hashtbl.length c.tbl in
-    if live > 0 then begin
-      c.evictions <- c.evictions + live;
-      Hashtbl.reset c.tbl
-    end
-
-  let reset_for c csr =
-    match c.csr with
-    | Some prev when prev == csr -> ()
-    | _ ->
-        discard c;
-        c.csr <- Some csr
-
-  let invalidate c = discard c
-
-  let retarget c csr =
-    discard c;
-    c.csr <- Some csr
-
-  let evictions c = c.evictions
-
-  let get c ?count csr ~source =
-    reset_for c csr;
-    let cnt = match count with Some k -> k | None -> default_count csr in
-    match Hashtbl.find_opt c.tbl (source, cnt) with
-    | Some p -> p
-    | None ->
-        let p = pack ~count:cnt csr ~source in
-        Hashtbl.add c.tbl (source, cnt) p;
-        p
-
-  let get_all ?pool c ?count csr ~sources =
-    reset_for c csr;
-    let cnt = match count with Some k -> k | None -> default_count csr in
-    let missing =
-      List.filter (fun s -> not (Hashtbl.mem c.tbl (s, cnt))) (List.sort_uniq compare sources)
-    in
-    if missing <> [] then begin
-      let packed = pack_all ?pool ~count:cnt csr ~sources:missing in
-      List.iteri (fun i s -> Hashtbl.add c.tbl (s, cnt) packed.(i)) missing
-    end;
-    Array.of_list (List.map (fun s -> Hashtbl.find c.tbl (s, cnt)) sources)
-end

@@ -109,40 +109,3 @@ val iter_children : t -> tree:int -> node:int -> (child:int -> eidx:int -> unit)
 
 val edges : t -> tree:int -> (int * int) list
 (** The members−1 (parent, child) pairs of one tree, child-ascending. *)
-
-(** Packings cached per (snapshot, source, count), keyed on physical
-    snapshot identity like {!Overlay.Cert} — a new frozen topology
-    invalidates everything, re-running a workload on the same snapshot
-    reuses every tree. The silent snapshot-swap eviction that a
-    controller commit triggers is observable: {!evictions} counts every
-    entry ever discarded, and {!invalidate}/{!retarget} let the owner
-    of a reconfiguring topology evict {e explicitly} instead of relying
-    on the key check. Not thread-safe; callers serialise access. *)
-module Cache : sig
-  type pack = t
-
-  type t
-
-  val create : unit -> t
-
-  val get : t -> ?count:int -> Csr.t -> source:int -> pack
-
-  val get_all : ?pool:Par.Pool.t -> t -> ?count:int -> Csr.t -> sources:int list -> pack array
-  (** Packings for [sources] in list order, computing the missing ones
-      (in parallel under [?pool]). *)
-
-  val invalidate : t -> unit
-  (** Drop every cached packing (counted in {!evictions}); the cache
-      keeps serving the same snapshot. For when the masks over a
-      snapshot changed meaning even though the snapshot did not. *)
-
-  val retarget : t -> Csr.t -> unit
-  (** Point the cache at a new snapshot, discarding (and counting) all
-      entries now — the explicit form of what the next [get] on a new
-      snapshot would do silently. *)
-
-  val evictions : t -> int
-  (** Total entries ever discarded — by snapshot swaps, {!invalidate},
-      or {!retarget}. A growing count under a supposedly stable
-      topology is the cache-thrash signal {!Obs} dashboards watch. *)
-end

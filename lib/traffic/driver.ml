@@ -39,33 +39,6 @@ type result = {
    that would need more than 256 MB of it *)
 let max_pairs = 1 lsl 28
 
-(* The dedup table is recycled across runs instead of reallocated:
-   bench loops and SLO sweeps run thousands of workloads over the same
-   topology, and a fresh multi-megabyte [Bytes] per run is pure GC
-   pressure. One buffer parks in an [Atomic]; a run exchanges it out
-   (so concurrent runs degrade to allocating, never share), clears only
-   the prefix it needs, and parks it back when done. Cleared prefix +
-   identical indexing = byte-identical results to a fresh buffer. *)
-let scratch = Atomic.make Bytes.empty
-
-let take_scratch size =
-  let b = Atomic.exchange scratch Bytes.empty in
-  if Bytes.length b >= size then begin
-    Bytes.fill b 0 size '\000';
-    b
-  end
-  else Bytes.make size '\000'
-
-let give_scratch b = Atomic.set scratch b
-
-(* Tree packings are a per-(topology, source) setup cost; the cache
-   makes re-running workloads on the same frozen snapshot — the bench
-   and CLI steady state — pay it once, like [Overlay.Cert]'s
-   certificate reuse. Guarded because the cache outlives any one run. *)
-let tree_cache = Tree_pack.Cache.create ()
-
-let tree_cache_mutex = Mutex.create ()
-
 (* dedup bits: bit 0 = first delivery happened, bit 1 = a fallback
    flood copy was relayed (Trees mode only; see [Flood.Trees]) *)
 let bit_delivered = 1
@@ -162,7 +135,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     else None
   in
   (* per-(chunk, node) first-delivery flags, per-chunk progress *)
-  let seen = take_scratch (total * n) in
+  let seen = Bytes.make (total * n) '\000' in
   let delivered_count = Array.make total 0 in
   let last_delivery = Array.make total 0.0 in
   let injected = Array.make total false in
@@ -230,17 +203,10 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
            to the subtree behind a dead edge. *)
         let packs =
           match reconfig with
-          | None ->
-              let protect m f =
-                Mutex.lock m;
-                Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-              in
-              protect tree_cache_mutex (fun () ->
-                  Tree_pack.Cache.get_all ?pool:env.Env.pool tree_cache csr ~sources)
+          | None -> Tree_pack.pack_all ?pool:env.Env.pool csr ~sources
           | Some rc ->
-              (* the union snapshot is this run's private topology — the
-                 global cache would only thrash on it; masked packs are
-                 built here and re-striped in place at each commit *)
+              (* masked packs over the union snapshot, re-striped in
+                 place at each commit *)
               Tree_pack.pack_all ?pool:env.Env.pool ?count:rc.Reconfig.tree_count csr ~member
                 ~usable:(fun e -> active.(e))
                 ~sources
@@ -535,7 +501,6 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
       if !best = infinity then -1.0 else !best -. last_degrade
     end
   in
-  give_scratch seen;
   let percentile = Flood.Runner.percentile !delays ~len:!ndelays in
   let stats = Network.stats net in
   let throughput =
@@ -547,12 +512,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
   if obs_on then begin
     Obs.Registry.add (Obs.Registry.counter obs "traffic.chunks") chunks_injected;
     Obs.Registry.add (Obs.Registry.counter obs "traffic.deliveries") !ndelays;
-    Obs.Registry.set_max (Obs.Registry.gauge obs "traffic.throughput") throughput;
-    (* cache-thrash signal: entries the shared tree cache has ever
-       discarded — a snapshot swap mid-workload shows up here *)
-    Obs.Registry.set_max
-      (Obs.Registry.gauge obs "traffic.tree_cache_evictions")
-      (float_of_int (Tree_pack.Cache.evictions tree_cache))
+    Obs.Registry.set_max (Obs.Registry.gauge obs "traffic.throughput") throughput
   end;
   {
     workload;
@@ -583,9 +543,6 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     restripe_repacked = !restripe_repacked;
     control_messages;
   }
-
-let run_env ~env ?plan ?reconfig ~graph ~workload () =
-  run_csr_env ~env ?plan ?reconfig ~csr:(Csr.of_graph graph) ~workload ()
 
 let schema = "lhg-traffic/1"
 

@@ -98,28 +98,6 @@ type result = {
           has a single band or no reconfig timeline *)
 }
 
-val run_env :
-  env:Flood.Env.t ->
-  ?plan:Chaos.Plan.t ->
-  ?reconfig:Reconfig.t ->
-  graph:Graph_core.Graph.t ->
-  workload:Workload.t ->
-  unit ->
-  result
-(** Run the workload to completion (the simulator drains; there is no
-    horizon — finite streams always terminate). Consumes every [Env]
-    field except [pool]. Registers [traffic.delay] (time bounds),
-    [traffic.chunks], [traffic.deliveries], [traffic.throughput] and
-    [traffic.tree_cache_evictions] into an enabled [env.obs]; the
-    network adds its own [net.*] series including the [net.link_queue]
-    occupancy histogram.
-    @raise Invalid_argument on an invalid workload
-    ({!Workload.validate}), a source crashed at t = 0, a plan that
-    fails {!Chaos.Plan.validate}, a reconfig whose [union_n] differs
-    from the topology or that fails {!Reconfig.validate}, or a
-    workload whose dedup table would exceed 2^28 (chunk, node)
-    pairs. *)
-
 val run_csr_env :
   env:Flood.Env.t ->
   ?plan:Chaos.Plan.t ->
@@ -128,9 +106,22 @@ val run_csr_env :
   workload:Workload.t ->
   unit ->
   result
-(** {!run_env} directly over a frozen CSR snapshot — the million-
-    message path, and the only one a [?reconfig] timeline makes sense
-    on (its masks index the snapshot's edge slots). *)
+(** Run the workload over a frozen snapshot to completion (the
+    simulator drains; there is no horizon — finite streams always
+    terminate). A [?reconfig] timeline's masks index the snapshot's
+    edge slots, so it must be built over this same [csr]. Consumes
+    every [Env] field; [pool] only parallelises the [Trees] packing of
+    the sources, whose output is pool-invariant. Registers
+    [traffic.delay] (time bounds), [traffic.chunks],
+    [traffic.deliveries] and [traffic.throughput] into an enabled
+    [env.obs]; the network adds its own [net.*] series including the
+    [net.link_queue] occupancy histogram.
+    @raise Invalid_argument on an invalid workload
+    ({!Workload.validate}), a source crashed at t = 0, a plan that
+    fails {!Chaos.Plan.validate}, a reconfig whose [union_n] differs
+    from the topology or that fails {!Reconfig.validate}, or a
+    workload whose dedup table would exceed 2^28 (chunk, node)
+    pairs. *)
 
 val schema : string
 (** ["lhg-traffic/1"]. *)

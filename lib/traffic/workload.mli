@@ -7,7 +7,7 @@
     (who sends, how many chunks, at what rate, with what inter-arrival
     law), while the {!Flood.Env} it is paired with describes {e what
     the network does} with the traffic (latency, loss, link capacity,
-    queue bound/policy). {!Driver.run_env} consumes both.
+    queue bound/policy). {!Driver.run_csr_env} consumes both.
 
     Like [Env], the record is built by piping [with_*] builders from
     {!default}; plain record update works too. *)

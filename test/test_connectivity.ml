@@ -253,9 +253,9 @@ let test_decisions_at_scale () =
 
 let test_min_edge_cut_witness () =
   let g = barbell () in
-  Alcotest.(check (list (pair int int))) "the bridge" [ (2, 3) ] (Connectivity.min_edge_cut g);
+  Alcotest.(check (list (pair int int))) "the bridge" [ (2, 3) ] (Connectivity.min_edge_cut (Csr.of_graph g));
   let g = Generators.cycle 6 in
-  let cut = Connectivity.min_edge_cut g in
+  let cut = Connectivity.min_edge_cut (Csr.of_graph g) in
   check_int "two edges" 2 (List.length cut);
   let g' = Graph.copy g in
   List.iter (fun (u, v) -> Graph.remove_edge g' u v) cut;
@@ -263,17 +263,17 @@ let test_min_edge_cut_witness () =
 
 let test_min_edge_cut_degenerate () =
   Alcotest.(check (list (pair int int))) "disconnected" []
-    (Connectivity.min_edge_cut (Graph.of_edges ~n:4 [ (0, 1) ]));
+    (Connectivity.min_edge_cut (Csr.of_graph (Graph.of_edges ~n:4 [ (0, 1) ])));
   Alcotest.(check (list (pair int int))) "single vertex" []
-    (Connectivity.min_edge_cut (Graph.create ~n:1))
+    (Connectivity.min_edge_cut (Csr.of_graph (Graph.create ~n:1)))
 
 let test_min_vertex_cut_witness () =
   let g = barbell () in
-  let cut = Connectivity.min_vertex_cut g in
+  let cut = Connectivity.min_vertex_cut (Csr.of_graph g) in
   check_int "one vertex" 1 (List.length cut);
   check_bool "a bridge endpoint" true (List.for_all (fun v -> v = 2 || v = 3) cut);
   let g = petersen () in
-  let cut = Connectivity.min_vertex_cut g in
+  let cut = Connectivity.min_vertex_cut (Csr.of_graph g) in
   check_int "kappa vertices" 3 (List.length cut);
   let alive = Array.make 10 true in
   List.iter (fun v -> alive.(v) <- false) cut;
@@ -281,7 +281,7 @@ let test_min_vertex_cut_witness () =
 
 let test_min_vertex_cut_complete () =
   Alcotest.(check (list int)) "complete graph has none" []
-    (Connectivity.min_vertex_cut (Generators.complete 5))
+    (Connectivity.min_vertex_cut (Csr.of_graph (Generators.complete 5)))
 
 let prop_min_cuts_are_real_cuts =
   qcheck ~count:50 "extracted cuts disconnect and have minimum size"
@@ -290,7 +290,7 @@ let prop_min_cuts_are_real_cuts =
       let kappa = Connectivity.vertex_connectivity g in
       let lambda = Connectivity.edge_connectivity g in
       let vc_ok =
-        let cut = Connectivity.min_vertex_cut g in
+        let cut = Connectivity.min_vertex_cut (Csr.of_graph g) in
         if kappa = 0 || kappa = Graph.n g - 1 then cut = []
         else begin
           let alive = Array.make (Graph.n g) true in
@@ -299,7 +299,7 @@ let prop_min_cuts_are_real_cuts =
         end
       in
       let ec_ok =
-        let cut = Connectivity.min_edge_cut g in
+        let cut = Connectivity.min_edge_cut (Csr.of_graph g) in
         if lambda = 0 then cut = []
         else begin
           let g2 = Graph.copy g in

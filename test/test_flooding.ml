@@ -4,30 +4,31 @@ module Generators = Graph_core.Generators
 module Prng = Graph_core.Prng
 module Flooding = Flood.Flooding
 module Sync = Flood.Sync
+module Csr = Graph_core.Csr
 
 let test_full_coverage_no_failures () =
   let g = petersen () in
-  let r = Flooding.run_env ~env:Flood.Env.default ~graph:g ~source:0 () in
+  let r = Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~source:0 () in
   check_bool "covers all" true r.Flooding.covers_all_alive;
   Array.iter (fun d -> check_bool "everyone" true d) r.Flooding.delivered
 
 let test_hops_equal_bfs_distances () =
   let g = petersen () in
-  let r = Flooding.run_env ~env:Flood.Env.default ~graph:g ~source:0 () in
+  let r = Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~source:0 () in
   let dist = Graph_core.Bfs.distances g ~src:0 in
   Alcotest.(check (array int)) "unit latency = BFS" dist r.Flooding.hops
 
 let test_message_count_failure_free () =
   let g = Generators.cycle 8 in
-  let r = Flooding.run_env ~env:Flood.Env.default ~graph:g ~source:0 () in
-  check_int "2m - (n-1)" (Sync.message_bound g) r.Flooding.messages_sent
+  let r = Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~source:0 () in
+  check_int "2m - (n-1)" (Sync.message_bound (Csr.of_graph g)) r.Flooding.messages_sent
 
 let test_sync_agreement () =
   (* event-driven run with unit latency matches the closed-form analysis *)
   List.iter
     (fun g ->
-      let sim = Flooding.run_env ~env:Flood.Env.default ~graph:g ~source:0 () in
-      let ana = Sync.flood_env ~env:Flood.Env.default g ~source:0 in
+      let sim = Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~source:0 () in
+      let ana = Sync.flood_csr (Csr.of_graph g) ~source:0 in
       check_int "messages agree" ana.Sync.messages sim.Flooding.messages_sent;
       check_int "rounds agree" ana.Sync.rounds sim.Flooding.max_hops;
       Alcotest.(check (float 1e-9)) "completion = rounds" (float_of_int ana.Sync.rounds)
@@ -37,19 +38,19 @@ let test_sync_agreement () =
 let test_crash_blocks_forwarding () =
   (* path 0-1-2: crashing 1 partitions; 2 never hears *)
   let g = Generators.path_graph 3 in
-  let r = Flooding.run_env ~env:(Flood.Env.make ~crashed:[ 1 ] ()) ~graph:g ~source:0 () in
+  let r = Flooding.run_csr_env ~env:(Flood.Env.make ~crashed:[ 1 ] ()) ~csr:(Csr.of_graph g) ~source:0 () in
   check_bool "2 unreachable" false r.Flooding.delivered.(2);
   check_bool "not all covered" false r.Flooding.covers_all_alive
 
 let test_crashed_source_rejected () =
   let g = Generators.cycle 4 in
   Alcotest.check_raises "source crashed" (Invalid_argument "Flood.run: source is crashed")
-    (fun () -> ignore (Flooding.run_env ~env:(Flood.Env.make ~crashed:[ 0 ] ()) ~graph:g ~source:0 ()))
+    (fun () -> ignore (Flooding.run_csr_env ~env:(Flood.Env.make ~crashed:[ 0 ] ()) ~csr:(Csr.of_graph g) ~source:0 ()))
 
 let test_link_failures_tolerated () =
   let g = Generators.cycle 6 in
   (* one link failure on a 2-connected ring still floods everyone *)
-  let r = Flooding.run_env ~env:(Flood.Env.make ~failed_links:[ (0, 1) ] ()) ~graph:g ~source:0 () in
+  let r = Flooding.run_csr_env ~env:(Flood.Env.make ~failed_links:[ (0, 1) ] ()) ~csr:(Csr.of_graph g) ~source:0 () in
   check_bool "covered" true r.Flooding.covers_all_alive
 
 let test_k_minus_1_crashes_never_partition_lhg () =
@@ -58,7 +59,7 @@ let test_k_minus_1_crashes_never_partition_lhg () =
   let rngv = rng () in
   for trial = 1 to 25 do
     let crashed = Flood.Runner.random_crashes rngv ~n:(Graph.n g) ~count:3 ~avoid:0 in
-    let r = Flooding.run_env ~env:(Flood.Env.make ~crashed ~seed:trial ()) ~graph:g ~source:0 () in
+    let r = Flooding.run_csr_env ~env:(Flood.Env.make ~crashed ~seed:trial ()) ~csr:(Csr.of_graph g) ~source:0 () in
     check_bool "k-1 crashes still covered" true r.Flooding.covers_all_alive
   done
 
@@ -67,15 +68,15 @@ let test_k_minus_1_link_failures_never_partition_lhg () =
   let g = b.Lhg_core.Build.graph in
   let rngv = rng ~salt:5 () in
   for trial = 1 to 25 do
-    let failed_links = Flood.Runner.random_link_failures rngv g ~count:3 in
-    let r = Flooding.run_env ~env:(Flood.Env.make ~failed_links ~seed:trial ()) ~graph:g ~source:0 () in
+    let failed_links = Flood.Runner.random_link_failures rngv (Csr.of_graph g) ~count:3 in
+    let r = Flooding.run_csr_env ~env:(Flood.Env.make ~failed_links ~seed:trial ()) ~csr:(Csr.of_graph g) ~source:0 () in
     check_bool "k-1 link failures still covered" true r.Flooding.covers_all_alive
   done
 
 let test_latency_variation_still_covers () =
   let g = petersen () in
   let r =
-    Flooding.run_env ~env:(Flood.Env.make ~latency:(Netsim.Network.uniform_latency ~lo:0.5 ~hi:2.0) ~seed:3 ()) ~graph:g ~source:4 ()
+    Flooding.run_csr_env ~env:(Flood.Env.make ~latency:(Netsim.Network.uniform_latency ~lo:0.5 ~hi:2.0) ~seed:3 ()) ~csr:(Csr.of_graph g) ~source:4 ()
   in
   check_bool "covered" true r.Flooding.covers_all_alive;
   (* hops can exceed BFS distance under non-uniform latency, but delivery
@@ -87,10 +88,10 @@ let test_latency_variation_still_covers () =
 let test_determinism_same_seed () =
   let g = Generators.grid ~rows:4 ~cols:4 in
   let r1 =
-    Flooding.run_env ~env:(Flood.Env.make ~latency:(Netsim.Network.uniform_latency ~lo:0.1 ~hi:1.0) ~seed:11 ()) ~graph:g ~source:0 ()
+    Flooding.run_csr_env ~env:(Flood.Env.make ~latency:(Netsim.Network.uniform_latency ~lo:0.1 ~hi:1.0) ~seed:11 ()) ~csr:(Csr.of_graph g) ~source:0 ()
   in
   let r2 =
-    Flooding.run_env ~env:(Flood.Env.make ~latency:(Netsim.Network.uniform_latency ~lo:0.1 ~hi:1.0) ~seed:11 ()) ~graph:g ~source:0 ()
+    Flooding.run_csr_env ~env:(Flood.Env.make ~latency:(Netsim.Network.uniform_latency ~lo:0.1 ~hi:1.0) ~seed:11 ()) ~csr:(Csr.of_graph g) ~source:0 ()
   in
   Alcotest.(check (array (float 0.0))) "same timings" r1.Flooding.delivery_time
     r2.Flooding.delivery_time;
@@ -105,7 +106,7 @@ let prop_flooding_covers_any_connected_graph =
       for v = 0 to n - 1 do
         Graph.add_edge g v ((v + 1) mod n)
       done;
-      let r = Flooding.run_env ~env:Flood.Env.default ~graph:g ~source:(Prng.int rngv n) () in
+      let r = Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~source:(Prng.int rngv n) () in
       r.Flooding.covers_all_alive)
 
 let prop_engines_identical_wire_traces =
@@ -124,7 +125,7 @@ let prop_engines_identical_wire_traces =
                 ~latency:(Netsim.Network.uniform_latency ~lo:0.25 ~hi:3.0)
                 ~loss_rate:0.05 ~processing_delay:0.125 ~seed ~engine ~trace ()
             in
-            let r = Flooding.run_env ~env ~graph:b.Lhg_core.Build.graph ~source:0 () in
+            let r = Flooding.run_csr_env ~env ~csr:(Csr.of_graph b.Lhg_core.Build.graph) ~source:0 () in
             (Netsim.Trace.events trace, r.Flooding.messages_sent, r.Flooding.delivery_time)
           in
           flood Netsim.Sim.Calendar = flood Netsim.Sim.Heap)

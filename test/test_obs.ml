@@ -1,6 +1,8 @@
 (* Obs.Registry and Obs.Export: metric semantics, the disabled path,
    percentiles, the event ring, and exporter well-formedness. *)
 
+module Csr = Graph_core.Csr
+
 module R = Obs.Registry
 
 let test_counter_basics () =
@@ -135,7 +137,7 @@ let check_balanced s =
 let test_export_json_structure () =
   let r = R.create () in
   let g = (Lhg_core.Build.kdiamond_exn ~n:22 ~k:3).Lhg_core.Build.graph in
-  ignore (Flood.Flooding.run_env ~env:(Flood.Env.make ~obs:r ()) ~graph:g ~source:0 ());
+  ignore (Flood.Flooding.run_csr_env ~env:(Flood.Env.make ~obs:r ()) ~csr:(Csr.of_graph g) ~source:0 ());
   let doc = Obs.Export.to_json ~recent_events:4 r in
   check_balanced doc;
   let has needle =
@@ -160,7 +162,7 @@ let test_runner_percentiles () =
   let a =
     Flood.Runner.flood_trials_env
       ~env:(Flood.Env.make ~seed:3 ~obs:(Obs.Registry.create ()) ())
-      ~graph:g ~source:0 ~crash_count:0 ~trials:9 ()
+      ~csr:(Csr.of_graph g) ~source:0 ~crash_count:0 ~trials:9 ()
   in
   (* failure-free deterministic flooding: every trial identical *)
   Alcotest.(check (float 1e-9)) "p50 = mean" a.Flood.Runner.mean_completion
@@ -173,7 +175,7 @@ let test_runner_percentiles () =
     (Array.fold_left ( + ) 0 a.Flood.Runner.hop_counts);
   (* a disabled caller-supplied registry suppresses hop collection *)
   let a' =
-    Flood.Runner.flood_trials_env ~env:(Flood.Env.make ~obs:Obs.Registry.nil ~seed:3 ()) ~graph:g ~source:0 ~crash_count:0 ~trials:3 ()
+    Flood.Runner.flood_trials_env ~env:(Flood.Env.make ~obs:Obs.Registry.nil ~seed:3 ()) ~csr:(Csr.of_graph g) ~source:0 ~crash_count:0 ~trials:3 ()
   in
   Alcotest.(check int) "disabled -> no hop histogram" 0 (Array.length a'.Flood.Runner.hop_counts)
 

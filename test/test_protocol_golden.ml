@@ -106,22 +106,22 @@ let publications n =
     { Flood.Multi.origin = n - 1; inject_time = 2.0; payload_id = 77 };
   ]
 
-let run_flooding ~env ~g ~source = show_flooding (Flood.Flooding.run_env ~env ~graph:g ~source ())
+let run_flooding ~env ~g ~source = show_flooding (Flood.Flooding.run_csr_env ~env ~csr:(Csr.of_graph g) ~source ())
 
 let run_gossip ~env ~g ~source =
   let ttl = Flood.Gossip.default_ttl ~n:(Graph_core.Graph.n g) in
-  show_gossip (Flood.Gossip.run_env ~env ~graph:g ~source ~fanout:2 ~ttl ())
+  show_gossip (Flood.Gossip.run_env ~env ~csr:(Csr.of_graph g) ~source ~fanout:2 ~ttl ())
 
-let run_pif ~env ~g ~source = show_pif (Flood.Pif.run_env ~env ~graph:g ~source ())
+let run_pif ~env ~g ~source = show_pif (Flood.Pif.run_env ~env ~csr:(Csr.of_graph g) ~source ())
 
 let run_multi ~env ~g ~source:_ =
   let publications = publications (Graph_core.Graph.n g) in
-  show_multi (Flood.Multi.run_env ~env ~graph:g ~publications ())
+  show_multi (Flood.Multi.run_env ~env ~csr:(Csr.of_graph g) ~publications ())
 
 let run_reliable ~env ~g ~source:_ =
   let publications = publications (Graph_core.Graph.n g) in
   show_reliable
-    (Flood.Reliable.run_env ~env ~graph:g ~publications ~anti_entropy_period:2.0
+    (Flood.Reliable.run_env ~env ~csr:(Csr.of_graph g) ~publications ~anti_entropy_period:2.0
        ~duration:40.0 ())
 
 let protocols =

@@ -1,6 +1,7 @@
 open Helpers
 module Generators = Graph_core.Generators
 module Reliability = Flood.Reliability
+module Csr = Graph_core.Csr
 
 let test_wilson_interval_basic () =
   let lo, hi = Reliability.wilson_interval ~successes:50 ~trials:100 in
@@ -20,7 +21,7 @@ let test_wilson_narrows_with_trials () =
 let test_flood_p0_is_certain () =
   let b = Lhg_core.Build.kdiamond_exn ~n:20 ~k:3 in
   let e =
-    Reliability.flood_delivery ~graph:b.Lhg_core.Build.graph ~source:0 ~node_failure_prob:0.0
+    Reliability.flood_delivery ~csr:(Csr.of_graph b.Lhg_core.Build.graph) ~source:0 ~node_failure_prob:0.0
       ~trials:50 ~seed:1 ()
   in
   Alcotest.(check (float 1e-9)) "certain" 1.0 e.Reliability.probability
@@ -28,7 +29,7 @@ let test_flood_p0_is_certain () =
 let test_flood_p1_only_source_survives () =
   let b = Lhg_core.Build.kdiamond_exn ~n:20 ~k:3 in
   let e =
-    Reliability.flood_delivery ~graph:b.Lhg_core.Build.graph ~source:0 ~node_failure_prob:1.0
+    Reliability.flood_delivery ~csr:(Csr.of_graph b.Lhg_core.Build.graph) ~source:0 ~node_failure_prob:1.0
       ~trials:20 ~seed:2 ()
   in
   (* everyone but the source fails: the source trivially covers itself *)
@@ -39,9 +40,9 @@ let test_lhg_beats_tree () =
   let lhg = b.Lhg_core.Build.graph in
   let tree = Topo.Spanning_tree.bfs_tree lhg ~root:0 in
   let p = 0.05 and trials = 300 in
-  let e_lhg = Reliability.flood_delivery ~graph:lhg ~source:0 ~node_failure_prob:p ~trials ~seed:3 () in
+  let e_lhg = Reliability.flood_delivery ~csr:(Csr.of_graph lhg) ~source:0 ~node_failure_prob:p ~trials ~seed:3 () in
   let e_tree =
-    Reliability.flood_delivery ~graph:tree ~source:0 ~node_failure_prob:p ~trials ~seed:3 ()
+    Reliability.flood_delivery ~csr:(Csr.of_graph tree) ~source:0 ~node_failure_prob:p ~trials ~seed:3 ()
   in
   check_bool
     (Printf.sprintf "lhg %.2f > tree %.2f" e_lhg.Reliability.probability
@@ -51,16 +52,16 @@ let test_lhg_beats_tree () =
 
 let test_reliability_monotone_in_p () =
   let g = Generators.cycle 30 in
-  let est p = (Reliability.flood_delivery ~graph:g ~source:0 ~node_failure_prob:p ~trials:300 ~seed:4 ()).Reliability.probability in
+  let est p = (Reliability.flood_delivery ~csr:(Csr.of_graph g) ~source:0 ~node_failure_prob:p ~trials:300 ~seed:4 ()).Reliability.probability in
   let p05 = est 0.05 and p25 = est 0.25 in
   check_bool "higher p, lower reliability" true (p05 > p25)
 
 let test_gossip_below_flood () =
   let b = Lhg_core.Build.kdiamond_exn ~n:44 ~k:4 in
   let g = b.Lhg_core.Build.graph in
-  let f = Reliability.flood_delivery ~graph:g ~source:0 ~node_failure_prob:0.02 ~trials:150 ~seed:5 () in
+  let f = Reliability.flood_delivery ~csr:(Csr.of_graph g) ~source:0 ~node_failure_prob:0.02 ~trials:150 ~seed:5 () in
   let go =
-    Reliability.gossip_delivery ~graph:g ~source:0 ~fanout:2 ~node_failure_prob:0.02 ~trials:150
+    Reliability.gossip_delivery ~csr:(Csr.of_graph g) ~source:0 ~fanout:2 ~node_failure_prob:0.02 ~trials:150
       ~seed:5 ()
   in
   check_bool "flood at least as reliable as weak gossip" true
@@ -69,7 +70,7 @@ let test_gossip_below_flood () =
 let test_estimate_bounds_order () =
   let b = Lhg_core.Build.ktree_exn ~n:30 ~k:3 in
   let e =
-    Reliability.flood_delivery ~graph:b.Lhg_core.Build.graph ~source:0 ~node_failure_prob:0.1
+    Reliability.flood_delivery ~csr:(Csr.of_graph b.Lhg_core.Build.graph) ~source:0 ~node_failure_prob:0.1
       ~trials:200 ~seed:6 ()
   in
   check_bool "lo <= p <= hi" true

@@ -2,6 +2,7 @@ open Helpers
 module Graph = Graph_core.Graph
 module Generators = Graph_core.Generators
 module Runner = Flood.Runner
+module Csr = Graph_core.Csr
 
 let test_random_crashes_avoid_source () =
   let rngv = rng () in
@@ -21,13 +22,13 @@ let test_random_crashes_bad_count () =
 let test_random_link_failures_are_edges () =
   let rngv = rng ~salt:2 () in
   let g = petersen () in
-  let fs = Runner.random_link_failures rngv g ~count:4 in
+  let fs = Runner.random_link_failures rngv (Csr.of_graph g) ~count:4 in
   check_int "count" 4 (List.length fs);
   List.iter (fun (u, v) -> check_bool "is edge" true (Graph.has_edge g u v)) fs
 
 let test_flood_trials_no_failures_full_coverage () =
   let g = Generators.complete 10 in
-  let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:1 ()) ~graph:g ~source:0 ~crash_count:0 ~trials:5 () in
+  let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:1 ()) ~csr:(Csr.of_graph g) ~source:0 ~crash_count:0 ~trials:5 () in
   Alcotest.(check (float 1e-9)) "mean coverage" 1.0 a.Runner.mean_coverage;
   Alcotest.(check (float 1e-9)) "all covered" 1.0 a.Runner.all_covered_fraction;
   check_int "trials" 5 a.Runner.trials
@@ -35,33 +36,33 @@ let test_flood_trials_no_failures_full_coverage () =
 let test_flood_trials_k_minus_1_on_lhg () =
   let b = Lhg_core.Build.ktree_exn ~n:26 ~k:4 in
   let a =
-    Runner.flood_trials_env ~env:(Flood.Env.make ~seed:2 ()) ~graph:b.Lhg_core.Build.graph ~source:0 ~crash_count:3 ~trials:20 ()
+    Runner.flood_trials_env ~env:(Flood.Env.make ~seed:2 ()) ~csr:(Csr.of_graph b.Lhg_core.Build.graph) ~source:0 ~crash_count:3 ~trials:20 ()
   in
   Alcotest.(check (float 1e-9)) "guaranteed delivery" 1.0 a.Runner.all_covered_fraction
 
 let test_flood_trials_beyond_k_can_fail () =
   (* a ring (k=2) with many crashes will partition in some trial *)
   let g = Generators.cycle 30 in
-  let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:3 ()) ~graph:g ~source:0 ~crash_count:6 ~trials:30 () in
+  let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:3 ()) ~csr:(Csr.of_graph g) ~source:0 ~crash_count:6 ~trials:30 () in
   check_bool "some trial partitions" true (a.Runner.all_covered_fraction < 1.0);
   check_bool "coverage sane" true (a.Runner.mean_coverage > 0.2 && a.Runner.mean_coverage <= 1.0)
 
 let test_flood_trials_with_link_failures () =
   let b = Lhg_core.Build.kdiamond_exn ~n:20 ~k:4 in
   let a =
-    Runner.flood_trials_env ~env:(Flood.Env.make ~seed:4 ()) ~link_failures:3 ~graph:b.Lhg_core.Build.graph ~source:0 ~crash_count:0 ~trials:15 ()
+    Runner.flood_trials_env ~env:(Flood.Env.make ~seed:4 ()) ~link_failures:3 ~csr:(Csr.of_graph b.Lhg_core.Build.graph) ~source:0 ~crash_count:0 ~trials:15 ()
   in
   Alcotest.(check (float 1e-9)) "k-1 link failures harmless" 1.0 a.Runner.all_covered_fraction
 
 let test_gossip_trials_aggregate () =
   let g = Generators.complete 12 in
-  let a = Runner.gossip_trials_env ~env:(Flood.Env.make ~seed:5 ()) ~graph:g ~source:0 ~fanout:11 ~crash_count:0 ~trials:5 () in
+  let a = Runner.gossip_trials_env ~env:(Flood.Env.make ~seed:5 ()) ~csr:(Csr.of_graph g) ~source:0 ~fanout:11 ~crash_count:0 ~trials:5 () in
   Alcotest.(check (float 1e-9)) "full coverage" 1.0 a.Runner.mean_coverage;
   check_bool "messages counted" true (a.Runner.mean_messages > 0.0)
 
 let test_min_coverage_le_mean () =
   let g = Generators.cycle 25 in
-  let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:6 ()) ~graph:g ~source:0 ~crash_count:4 ~trials:25 () in
+  let a = Runner.flood_trials_env ~env:(Flood.Env.make ~seed:6 ()) ~csr:(Csr.of_graph g) ~source:0 ~crash_count:4 ~trials:25 () in
   check_bool "min <= mean" true (a.Runner.min_coverage <= a.Runner.mean_coverage +. 1e-9)
 
 (* [percentile] against a sorted copy. Values come from a few levels,

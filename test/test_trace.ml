@@ -120,9 +120,9 @@ let prop_trace_leaves_runs_unchanged =
       in
       let doc env =
         Scenario.report_traffic ~topology:"kdiamond" ~n:46 ~k:4 ~seed
-          (Traffic.Driver.run_env ~env ~graph:g ~workload ())
+          (Traffic.Driver.run_csr_env ~env ~csr:(Csr.of_graph g) ~workload ())
       in
-      let flood env = Flood.Flooding.run_env ~env ~graph:g ~source:(seed mod 46) () in
+      let flood env = Flood.Flooding.run_csr_env ~env ~csr:(Csr.of_graph g) ~source:(seed mod 46) () in
       String.equal (doc env) (doc (traced ())) && flood env = flood (traced ()))
 
 let suite =

@@ -294,20 +294,6 @@ let test_patch_noop_and_errors () =
     (Invalid_argument "Tree_pack.patch: source is not a member") (fun () ->
       ignore (Tree_pack.patch p csr ~member:masked_out ()))
 
-let test_cache_reuse () =
-  let csr = csr_of ~kind:"kdiamond" ~n:66 ~k:4 ~seed:7 in
-  let cache = Tree_pack.Cache.create () in
-  let a = Tree_pack.Cache.get cache csr ~source:5 in
-  let b = Tree_pack.Cache.get cache csr ~source:5 in
-  check_bool "same csr hits the cache" true (a == b);
-  let all = Tree_pack.Cache.get_all cache csr ~sources:[ 9; 5; 9 ] in
-  check_bool "get_all reuses cached packs" true (all.(1) == a);
-  check_bool "duplicate sources share one pack" true (all.(0) == all.(2));
-  (* a different snapshot resets the cache even at equal dimensions *)
-  let csr' = csr_of ~kind:"kdiamond" ~n:66 ~k:4 ~seed:7 in
-  let c = Tree_pack.Cache.get cache csr' ~source:5 in
-  check_bool "new snapshot -> fresh pack" true (c != a)
-
 (* {2 Golden trees}
 
    The completion re-hangs only the forest pieces an augmenting path
@@ -672,7 +658,6 @@ let suite =
     Alcotest.test_case "pack_all: pool-invariant" `Quick test_pack_all_matches_pack;
     prop_patch_valid_and_tracks_fresh;
     Alcotest.test_case "patch: no-op + errors" `Quick test_patch_noop_and_errors;
-    Alcotest.test_case "cache reuse + reset" `Quick test_cache_reuse;
     Alcotest.test_case "golden trees: pack + patch digests" `Quick test_golden_trees;
     Alcotest.test_case "n=4098: pack + patch tracks fresh" `Slow test_large_pack_and_patch;
   ]
