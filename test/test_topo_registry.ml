@@ -115,28 +115,40 @@ let test_build_construction_dispatch () =
     (Invalid_argument "Build.ktree: n = 3 is too small: the smallest graph for this k has 6 nodes")
     (fun () -> ignore (Lhg_core.Build.build_exn Lhg_core.Build.Ktree ~n:3 ~k:3))
 
-(* the uniform [csr] field: every entry's direct CSR equals the
-   adjacency-set graph it fronts, whether or not the entry takes the
-   [direct_csr] shortcut past the intermediate Graph.t *)
+(* the uniform [csr] field: every entry's snapshot is the frozen form
+   of the adjacency-set graph it fronts, slot for slot — same row
+   offsets, same neighbour order — whether or not the entry takes the
+   [direct_csr] shortcut past the intermediate Graph.t, and on both
+   storage backends where the shortcut exists. The simulators read only
+   the registry's snapshot, and their tie order follows its rows. *)
+let rows c =
+  let module Csr = Graph_core.Csr in
+  let n = Csr.n c and slots = Csr.degree_sum c in
+  match Csr.storage c with
+  | Csr.Ints { offsets; neighbors } -> (Array.sub offsets 0 (n + 1), Array.sub neighbors 0 slots)
+  | Csr.Big { offsets; neighbors } ->
+      (Array.init (n + 1) (Bigarray.Array1.get offsets), Array.init slots (Bigarray.Array1.get neighbors))
+
 let test_csr_equals_build () =
   List.iter
     (fun e ->
-      let n, k =
-        match e.R.name with "hypercube" -> (16, 4) | "harary" -> (14, 4) | _ -> (14, 3)
-      in
-      if e.R.admissible ~n ~k then
-        match (e.R.build ~n ~k ~seed:7, e.R.csr ~big:false ~n ~k ~seed:7) with
-        | Ok g, Ok c ->
-            let csr_edges = ref [] in
-            Graph_core.Csr.iter_edges c (fun u v -> csr_edges := (u, v) :: !csr_edges);
-            Alcotest.(check (list (pair int int)))
-              (Printf.sprintf "%s: csr = build (direct_csr = %b)" e.R.name e.R.direct_csr)
-              (List.sort compare (Graph_core.Graph.edges g))
-              (List.sort compare !csr_edges)
-        | Error a, Error b ->
-            Alcotest.(check string) (e.R.name ^ ": same error both routes") a b
-        | Ok _, Error b -> Alcotest.failf "%s: graph built but csr failed: %s" e.R.name b
-        | Error a, Ok _ -> Alcotest.failf "%s: csr built but graph failed: %s" e.R.name a)
+      List.iter
+        (fun (n, k) ->
+          let label big = Printf.sprintf "%s n=%d k=%d big=%b" e.R.name n k big in
+          let bigs = if e.R.direct_csr then [ false; true ] else [ false ] in
+          List.iter
+            (fun big ->
+              match (e.R.build ~n ~k ~seed:7, e.R.csr ~big ~n ~k ~seed:7) with
+              | Ok g, Ok c ->
+                  let off, nbr = rows (Graph_core.Csr.of_graph g) and off', nbr' = rows c in
+                  Alcotest.(check (array int)) (label big ^ ": offsets") off off';
+                  Alcotest.(check (array int)) (label big ^ ": neighbours") nbr nbr';
+                  Alcotest.(check bool) (label big ^ ": backend") big (Graph_core.Csr.is_bigarray c)
+              | Error a, Error b -> Alcotest.(check string) (label big ^ ": same error") a b
+              | Ok _, Error b -> Alcotest.failf "%s: graph built but csr failed: %s" (label big) b
+              | Error a, Ok _ -> Alcotest.failf "%s: csr built but graph failed: %s" (label big) a)
+            bigs)
+        [ (14, 3); (16, 4); (46, 4); (47, 4); (64, 5); (9, 2) ])
     R.all
 
 let test_direct_csr_flags () =
@@ -157,4 +169,6 @@ let suite =
     Alcotest.test_case "lhg entries verify" `Quick test_lhg_entries_verify;
     Alcotest.test_case "witness matches graph" `Quick test_witness_matches_graph;
     Alcotest.test_case "construction dispatch" `Quick test_build_construction_dispatch;
+    Alcotest.test_case "csr = build, slot for slot" `Quick test_csr_equals_build;
+    Alcotest.test_case "direct csr flags" `Quick test_direct_csr_flags;
   ]
