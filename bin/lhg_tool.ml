@@ -53,9 +53,10 @@ let jobs_arg =
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Domains for the parallel subcommands (verify, chaos): 1 = sequential (default), 0 = \
-           auto ($(b,LHG_DOMAINS) or the machine's recommended domain count), N = a pool of N \
-           domains. Results are identical at any setting.")
+          "Domains for the parallel subcommands (verify, chaos, controller, scenario, assemble, \
+           traffic): 1 = sequential (default), 0 = auto ($(b,LHG_DOMAINS) or the machine's \
+           recommended domain count), N = a pool of N domains. Results are identical at any \
+           setting.")
 
 let metrics_arg =
   Arg.(
@@ -783,13 +784,7 @@ let controller (c : common) (cc : Scenario.controller) =
           1
       | Ok (chaos, trace) ->
           with_jobs c (fun pool ->
-              let verify =
-                if cc.Scenario.full_verify then Overlay.Controller.Full
-                else Overlay.Controller.Cached
-              in
-              match
-                Overlay.Controller.create ?pool ~verify ?chaos ~family ~k:c.k ~n:c.n ()
-              with
+              match Overlay.Controller.create ?pool ?chaos ~family ~k:c.k ~n:c.n () with
               | Error e ->
                   prerr_endline ("error: " ^ Overlay.Error.to_string e);
                   1
@@ -870,17 +865,8 @@ let controller_term =
       & opt (some int) None
       & info [ "max-faults" ] ~docv:"F" ~doc:"Chaos fault budget per epoch (default k).")
   in
-  let full_verify =
-    Arg.(
-      value
-      & flag
-      & info [ "full-verify" ]
-          ~doc:
-            "Run the full verifier every epoch instead of the certificate cache (the \
-             baseline the cache is benchmarked against).")
-  in
   let make steps trace_file batch join_probability chaos_adversary chaos_plans_per_level
-      chaos_max_faults full_verify =
+      chaos_max_faults =
     {
       Scenario.steps;
       trace_file;
@@ -889,19 +875,18 @@ let controller_term =
       chaos_adversary;
       chaos_plans_per_level;
       chaos_max_faults;
-      full_verify;
     }
   in
   Term.(
     const make $ steps $ trace_file $ batch $ join_probability $ chaos_adversary
-    $ plans_per_level $ max_faults $ full_verify)
+    $ plans_per_level $ max_faults)
 
 let controller_cmd =
   Cmd.v
     (Cmd.info "controller"
        ~doc:
          "Run the epoch-based reconfiguration controller over a request trace, emitting \
-          lhg-reconfig/1 epoch diffs")
+          lhg-reconfig/2 epoch diffs")
     Term.(const controller $ common_term $ controller_term)
 
 (* traffic *)
@@ -922,25 +907,23 @@ let traffic (c : common) (tc : Scenario.traffic) =
           | Error e ->
               prerr_endline ("error: " ^ e);
               1
-          | Ok () -> (
-              let env =
-                Spec.to_env c
-                |> (match tc.Scenario.capacity with
-                   | Some r -> Flood.Env.with_link_capacity r
-                   | None -> Fun.id)
-                |> (match tc.Scenario.queue_cap with
-                   | Some q -> Flood.Env.with_queue_cap q
-                   | None -> Fun.id)
-                |> (match tc.Scenario.queue_policy with
-                   | Some p -> Flood.Env.with_queue_policy p
-                   | None -> Fun.id)
-                |>
-                if tc.Scenario.bands > 1 then Flood.Env.with_bands tc.Scenario.bands
-                else Fun.id
-              in
-              (* the driver is single-simulator; --jobs is accepted for
-                 CLI uniformity and must not change a byte *)
-              with_jobs c (fun _pool ->
+          | Ok () ->
+              with_jobs c (fun pool ->
+                  let env =
+                    Spec.to_env ?pool c
+                    |> (match tc.Scenario.capacity with
+                       | Some r -> Flood.Env.with_link_capacity r
+                       | None -> Fun.id)
+                    |> (match tc.Scenario.queue_cap with
+                       | Some q -> Flood.Env.with_queue_cap q
+                       | None -> Fun.id)
+                    |> (match tc.Scenario.queue_policy with
+                       | Some p -> Flood.Env.with_queue_policy p
+                       | None -> Fun.id)
+                    |>
+                    if tc.Scenario.bands > 1 then Flood.Env.with_bands tc.Scenario.bands
+                    else Fun.id
+                  in
                   match Traffic.Driver.run_csr_env ~env ?plan ~csr ~workload () with
                   | exception Invalid_argument msg ->
                       prerr_endline ("error: " ^ msg);
@@ -991,7 +974,7 @@ let traffic (c : common) (tc : Scenario.traffic) =
                             Printf.printf "  recovery time:      %.2f\n" r.recovery_time;
                           Printf.printf "  SLO:                %s\n"
                             (if slo_ok then "ok" else "VIOLATED"));
-                      if slo_ok then 0 else 1)))
+                      if slo_ok then 0 else 1))
 
 (* the traffic flag group, decoded once into Scenario.traffic *)
 let traffic_term =

@@ -17,8 +17,8 @@ val fan_paths : ?limit:int -> Graph.t -> sources:int list -> t:int -> int list l
 (** A maximum (or capped) family of paths, each from a *distinct* member
     of [sources] to [t], pairwise vertex-disjoint except at [t] (a
     "fan" rooted at [t]). Each path reads [s_i; ...; t]. At most
-    [List.length sources] paths exist; the certificate cache caps with
-    [~limit:k] for its k-fan probes.
+    [List.length sources] paths exist; [Overlay.Cert]'s k-fan witnesses
+    cap with [~limit:k].
     @raise Invalid_argument on duplicate sources, out-of-range vertices,
     or [t] listed among the sources. *)
 

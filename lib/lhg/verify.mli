@@ -51,12 +51,12 @@ val is_lhg : ?check_minimality:bool -> ?pool:Par.Pool.t -> Graph_core.Graph.t ->
 
 val quick : ?pool:Par.Pool.t -> Graph_core.Graph.t -> k:int -> bool
 (** P1 ∧ P2 ∧ P4, skipping the (quadratic) minimality sweep — the
-    membership fast path used as the reconfiguration controller's
-    full-verification fallback: is this still a k-connected,
-    logarithmic-diameter overlay? Its cost is the exact diameter sweep
-    (one BFS per vertex) plus the two connectivity decisions, which
-    explore only a small ball per vertex: about 0.03 s at n = 1026,
-    k = 4 on one core of a 2-core VM, most of it the diameter. *)
+    membership fast path the reconfiguration controller runs on every
+    epoch: is this still a k-connected, logarithmic-diameter overlay?
+    Its cost is the exact diameter sweep (one BFS per vertex) plus the
+    two connectivity decisions, which explore only a small ball per
+    vertex: about 0.03 s at n = 1026, k = 4 on one core of a 2-core VM,
+    most of it the diameter. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -1,5 +1,5 @@
 (* Versioned JSON stream documents — the shared emitter behind
-   lhg-chaos/1, lhg-reconfig/1 and lhg-traffic/1. One writer, one
+   lhg-chaos/1, lhg-reconfig/2 and lhg-traffic/1. One writer, one
    formatting discipline: pretty-printed two-space indent, every field
    on its own line with a '": "' separator, floats through Export.fl
    (%g, non-finite mapped to 0) so documents are byte-deterministic for

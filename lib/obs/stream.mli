@@ -1,7 +1,7 @@
 (** Versioned JSON stream documents.
 
     The repo's machine-readable outputs are versioned JSON documents —
-    [lhg-chaos/1], [lhg-reconfig/1], [lhg-traffic/1] — that used to be
+    [lhg-chaos/1], [lhg-reconfig/2], [lhg-traffic/1] — that used to be
     hand-assembled with [Printf] in three different places, each
     re-deciding commas, indentation and float formatting. This writer
     is the one shared discipline: a document opens with its ["schema"]

@@ -1,14 +1,14 @@
-(** Connectivity-certificate cache: incremental re-verification of
-    P1/P2/P4 across reconfiguration epochs.
+(** Menger witnesses for k-connectivity: the certificate that
+    [lhg_tool assemble --certify] rebuilds over a realized overlay.
+    ({!Controller} verifies its epochs with {!Lhg_core.Verify.quick}
+    instead.) {!check} and {!armed} are kept for the end-to-end
+    benchmark's shadow replay ([bench/e2e/workloads.ml]).
 
-    A full k-connectivity decision costs a batch of max-flow probes and
-    a full BFS sweep on every membership event. This cache instead
-    stores constructive witnesses and re-checks only what an epoch
-    touched:
+    {!rebuild} stores constructive witnesses for the hub set
+    L = {0..k−1}:
 
-    - {b hub pairs} — for the hub set L = {0..k−1}, k internally
-      vertex-disjoint paths between every pair of hub vertices
-      ({!Graph_core.Menger.vertex_disjoint_paths});
+    - {b hub pairs} — k internally vertex-disjoint paths between every
+      pair of hub vertices ({!Graph_core.Menger.vertex_disjoint_paths});
     - {b fans} — for every vertex u ∉ L, a k-fan: k paths from the k
       hub vertices to u, pairwise vertex-disjoint except at u. All fan
       probes of one graph share one vertex-split flow network (frozen
@@ -33,12 +33,12 @@
     above the bound. A diameter miss says nothing about connectivity:
     the refreshed certificates stay armed.
 
-    {b Invalidation rule.} Adding edges can never break a stored
-    witness, so a certificate is dirty iff one of its path vertices is
-    an endpoint of a removed edge or a retired id. Dirty certificates
-    are first re-walked edge-by-edge (O(path length)); only a failed
-    walk pays a max-flow probe; only a failed probe disarms the cache
-    and sends the caller back to full {!Lhg_core.Verify}. *)
+    {b Invalidation rule} ({!check}). Adding edges can never break a
+    stored witness, so a certificate is dirty iff one of its path
+    vertices is an endpoint of a removed edge or a retired id. Dirty
+    certificates are first re-walked edge-by-edge (O(path length)); only
+    a failed walk pays a max-flow probe; only a failed probe disarms
+    the cache. *)
 
 type report = {
   connectivity_ok : bool;  (** every certificate holds ⟹ κ ≥ k ⟹ λ ≥ k *)

@@ -27,7 +27,7 @@ type strategy = Repair | Rebuild
 let strategy_name = function Repair -> "repair" | Rebuild -> "rebuild"
 
 type verification = {
-  mode : [ `Cached | `Fallback | `Full ];
+  mode : [ `Fallback | `Full ];
   verified : bool;
   reused : int;
   revalidated : int;
@@ -56,7 +56,6 @@ type t = {
   n0 : int;
   obs : Reg.t;
   pool : Par.Pool.t option;
-  verify_mode : verify_mode;
   chaos_cfg : chaos option;
   engine : Incremental.t option;
   mutable synced : bool;  (** engine graph = authoritative graph *)
@@ -66,16 +65,10 @@ type t = {
   mutable epochs : int;
   mutable rewired : int;  (** cumulative diff cost, for the gauge *)
   mutable queue : request list;  (** newest first *)
-  cache : Cert.t;
   (* metric handles, nil-safe *)
   m_epochs : Reg.counter;
   m_applied : Reg.counter;
   m_rejected : Reg.counter;
-  m_reused : Reg.counter;
-  m_revalidated : Reg.counter;
-  m_recomputed : Reg.counter;
-  m_cached : Reg.counter;
-  m_full : Reg.counter;
   h_cost : Reg.histogram;
   h_ms : Reg.histogram;
 }
@@ -89,7 +82,7 @@ let epoch_ok e =
   epoch_verified e
   && match e.audit with None -> true | Some a -> a.Chaos.Audit.boundary_ok
 
-let create ?(obs = Reg.nil) ?pool ?(verify = Cached) ?chaos ~family ~k ~n () =
+let create ?(obs = Reg.nil) ?pool ?verify:_ ?chaos ~family ~k ~n () =
   let floor = floor_of ~family ~k in
   if n < floor then
     Error
@@ -122,8 +115,6 @@ let create ?(obs = Reg.nil) ?pool ?(verify = Cached) ?chaos ~family ~k ~n () =
     match initial with
     | Error e -> Error e
     | Ok graph ->
-        let cache = Cert.create ~k in
-        if verify = Cached then ignore (Cert.rebuild cache ~graph);
         Ok
           {
             family;
@@ -131,7 +122,6 @@ let create ?(obs = Reg.nil) ?pool ?(verify = Cached) ?chaos ~family ~k ~n () =
             n0 = n;
             obs;
             pool;
-            verify_mode = verify;
             chaos_cfg = chaos;
             engine;
             synced = engine <> None;
@@ -141,15 +131,9 @@ let create ?(obs = Reg.nil) ?pool ?(verify = Cached) ?chaos ~family ~k ~n () =
             epochs = 0;
             rewired = 0;
             queue = [];
-            cache;
             m_epochs = Reg.counter obs "ctrl.epochs";
             m_applied = Reg.counter obs "ctrl.applied";
             m_rejected = Reg.counter obs "ctrl.rejected";
-            m_reused = Reg.counter obs "ctrl.cert.reused";
-            m_revalidated = Reg.counter obs "ctrl.cert.revalidated";
-            m_recomputed = Reg.counter obs "ctrl.cert.recomputed";
-            m_cached = Reg.counter obs "ctrl.verify.cached";
-            m_full = Reg.counter obs "ctrl.verify.full";
             h_cost = Reg.histogram obs "ctrl.epoch_cost" ~bounds:Reg.hop_bounds;
             h_ms = Reg.histogram obs "ctrl.epoch_ms" ~bounds:Reg.time_bounds;
           }
@@ -244,50 +228,6 @@ let run_audit t ~index =
       in
       Some (Chaos.Audit.run ~env ~csr ~k:t.k ~source:0 ~plans)
 
-let verify_epoch t ~diff =
-  let full_verdict () = Verify.quick ?pool:t.pool t.graph ~k:t.k in
-  match t.verify_mode with
-  | Full ->
-      Reg.incr t.m_full;
-      { mode = `Full; verified = full_verdict (); reused = 0; revalidated = 0; recomputed = 0 }
-  | Cached ->
-      if Cert.armed t.cache then begin
-        let r = Cert.check t.cache ~graph:t.graph ~removed:diff.Diff.removed in
-        Reg.add t.m_reused r.Cert.reused;
-        Reg.add t.m_revalidated r.Cert.revalidated;
-        Reg.add t.m_recomputed r.Cert.recomputed;
-        (* a diameter miss is a verdict, not a reason to re-check
-           connectivity: the certificates were just refreshed *)
-        if r.Cert.connectivity_ok then begin
-          Reg.incr t.m_cached;
-          {
-            mode = `Cached;
-            verified = r.Cert.diameter_ok;
-            reused = r.Cert.reused;
-            revalidated = r.Cert.revalidated;
-            recomputed = r.Cert.recomputed;
-          }
-        end
-        else begin
-          Reg.incr t.m_full;
-          let verified = full_verdict () in
-          if verified then ignore (Cert.rebuild t.cache ~graph:t.graph);
-          {
-            mode = `Fallback;
-            verified;
-            reused = r.Cert.reused;
-            revalidated = r.Cert.revalidated;
-            recomputed = r.Cert.recomputed;
-          }
-        end
-      end
-      else begin
-        Reg.incr t.m_full;
-        let verified = full_verdict () in
-        if verified then ignore (Cert.rebuild t.cache ~graph:t.graph);
-        { mode = `Fallback; verified; reused = 0; revalidated = 0; recomputed = 0 }
-      end
-
 let commit_epoch t =
   let started = Monotonic_clock.now () in
   let reqs = List.rev t.queue in
@@ -352,7 +292,15 @@ let commit_epoch t =
       in
       t.n <- Graph.n t.graph;
       t.epochs <- index + 1;
-      let verification = verify_epoch t ~diff in
+      let verification =
+        {
+          mode = `Full;
+          verified = Verify.quick ?pool:t.pool t.graph ~k:t.k;
+          reused = 0;
+          revalidated = 0;
+          recomputed = 0;
+        }
+      in
       let audit = run_audit t ~index in
       let applied = List.length accepted in
       Reg.incr t.m_epochs;
@@ -444,11 +392,9 @@ let random_trace ~seed ?(join_probability = 0.55) ~family ~k ~n0 ~steps () =
         Leave
       end)
 
-(* {2 lhg-reconfig/1 emission} *)
+(* {2 lhg-reconfig/2 emission} *)
 
-let schema = "lhg-reconfig/1"
-
-let mode_name = function `Cached -> "cached" | `Fallback -> "full-fallback" | `Full -> "full"
+let schema = "lhg-reconfig/2"
 
 let edges_json edges =
   "["
@@ -456,7 +402,7 @@ let edges_json edges =
   ^ "]"
 
 (* every epoch object carries its own schema field, so a single epoch
-   cut out of the run document is still a self-describing lhg-reconfig/1
+   cut out of the run document is still a self-describing lhg-reconfig/2
    record *)
 let epoch_fields s e =
   let module S = Obs.Stream in
@@ -476,12 +422,7 @@ let epoch_fields s e =
       S.raw s "added" (edges_json e.diff.Diff.added);
       S.raw s "removed" (edges_json e.diff.Diff.removed);
       S.int s "kept" e.diff.Diff.kept);
-  S.obj s "verification" (fun s ->
-      S.str s "mode" (mode_name e.verification.mode);
-      S.bool s "verified" e.verification.verified;
-      S.int s "reused" e.verification.reused;
-      S.int s "revalidated" e.verification.revalidated;
-      S.int s "recomputed" e.verification.recomputed);
+  S.obj s "verification" (fun s -> S.bool s "verified" e.verification.verified);
   match e.audit with
   | None -> S.null s "chaos"
   | Some a ->
@@ -511,12 +452,6 @@ let run_to_json t epochs =
   let applied = List.fold_left (fun a e -> a + e.applied) 0 epochs in
   let rejected = List.fold_left (fun a e -> a + List.length e.rejections) 0 epochs in
   let cost = List.fold_left (fun a e -> a + Diff.cost e.diff) 0 epochs in
-  let cached =
-    List.fold_left
-      (fun a e -> a + match e.verification.mode with `Cached -> 1 | _ -> 0)
-      0 epochs
-  in
-  let full = List.length epochs - cached in
   let all_verified = List.for_all epoch_verified epochs in
   let boundary_ok =
     List.for_all
@@ -528,8 +463,6 @@ let run_to_json t epochs =
       S.int s "applied" applied;
       S.int s "rejected" rejected;
       S.int s "total_cost" cost;
-      S.int s "cached_epochs" cached;
-      S.int s "full_verifies" full;
       S.bool s "all_verified" all_verified;
       S.bool s "boundary_ok" boundary_ok);
   S.contents s
@@ -541,9 +474,7 @@ let pp_epoch fmt e =
     | Some r, Some b -> Printf.sprintf "; repair %d vs rebuild %d" r b
     | _ -> "")
     e.applied (List.length e.rejections)
-    (if e.verification.verified then
-       Printf.sprintf "verified (%s)" (mode_name e.verification.mode)
-     else "NOT VERIFIED")
+    (if e.verification.verified then "verified" else "NOT VERIFIED")
     (match e.audit with
     | None -> ""
     | Some a ->

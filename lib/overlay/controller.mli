@@ -17,18 +17,15 @@
     authoritative graph leaves the incremental construction's family
     and later epochs are rebuild-only.
 
-    Each committed epoch is re-verified. In [Cached] mode the
-    {!Cert} cache re-proves P1/P2 by re-probing only the certificates
-    the epoch's diff invalidated, falling back to a full
-    {!Lhg_core.Verify.quick} (over [?pool]) only when a probe fails —
-    the amortized per-event cost the paper's online setting asks for.
-    P4 is decided exactly by the cache's diameter check; a diameter
-    miss is a cached "not verified" verdict, never a fallback.
-    With [?chaos], every epoch additionally replays an adversarial
-    fault sweep ({!Chaos.Audit}) against the {e new} overlay, showing
-    the k−1 boundary holds mid-reconfiguration.
+    Each committed epoch is re-verified in full: P1, P2 and P4 by
+    {!Lhg_core.Verify.quick} (over [?pool]) on the committed graph —
+    the two prefix-order connectivity decisions plus the exact
+    diameter sweep, which is most of the cost. With [?chaos], every
+    epoch additionally replays an adversarial fault sweep
+    ({!Chaos.Audit}) against the {e new} overlay, showing the k−1
+    boundary holds mid-reconfiguration.
 
-    Every epoch serialises to one versioned [lhg-reconfig/1] JSON
+    Every epoch serialises to one versioned [lhg-reconfig/2] JSON
     object that a client could apply; output is byte-identical at any
     pool size. *)
 
@@ -45,27 +42,19 @@ val chaos :
     audited after each epoch commits, with rngs and flood seeds derived
     from [seed] (default 1) and the epoch index. *)
 
-type verify_mode =
-  | Cached
-      (** certificate cache, full verification only when the
-          connectivity certificates fail *)
-  | Full  (** full [Verify.quick] every epoch — the baseline the cache beats *)
+type verify_mode = Cached | Full  (** Inert: [bench/e2e/workloads.ml] still passes [~verify]. *)
 
 type strategy = Repair | Rebuild
 
 val strategy_name : strategy -> string
 
 type verification = {
-  mode : [ `Cached | `Fallback | `Full ];
-      (** [`Fallback] is a [Cached]-mode epoch whose connectivity
-          certificates failed (or whose cache was unarmed), so it ran
-          the full verification and re-armed the cache. A [`Cached]
-          epoch may still be unverified: its certificates held but the
-          exact diameter exceeded the P4 bound. *)
-  verified : bool;
-  reused : int;
-  revalidated : int;
-  recomputed : int;
+  mode : [ `Fallback | `Full ];
+      (** Always [`Full]; [`Fallback] stays because [bench/e2e/workloads.ml] counts it. *)
+  verified : bool;  (** {!Lhg_core.Verify.quick} on the committed graph *)
+  reused : int;  (** Always 0; [bench/e2e/workloads.ml] sums it. *)
+  revalidated : int;  (** Always 0; [bench/e2e/workloads.ml] sums it. *)
+  recomputed : int;  (** Always 0; [bench/e2e/workloads.ml] sums it. *)
 }
 
 type rejection = { at : int; request : request; error : Error.t }
@@ -101,14 +90,14 @@ val create :
   n:int ->
   unit ->
   (t, Error.t) result
-(** A controller at initial size [n] (defaults: [Cached], no chaos).
-    For the kdiamond family with k ≥ 3 the authoritative overlay starts
-    as the incremental engine's graph (grown in place to [n]) so repair
-    is available from the first epoch; other families start canonical
-    and reconfigure by rebuild. With [?obs], publishes [ctrl.*]
-    counters (epochs, applied, rejected, certificate reuse tiers,
-    cached/full verifications), the [ctrl.epoch_cost] and
-    [ctrl.epoch_ms] (wall time on the monotonic clock) histograms, [ctrl.n]/[ctrl.rewired] gauges, and an
+(** A controller at initial size [n] (default: no chaos); [?verify]
+    is ignored. For the kdiamond family with k ≥ 3 the authoritative
+    overlay starts as the incremental engine's graph (grown in place to
+    [n]) so repair is available from the first epoch; other families
+    start canonical and reconfigure by rebuild. With [?obs], publishes
+    [ctrl.epochs]/[ctrl.applied]/[ctrl.rejected] counters, the
+    [ctrl.epoch_cost] and [ctrl.epoch_ms] (wall time on the monotonic
+    clock) histograms, [ctrl.n]/[ctrl.rewired] gauges, and an
     [Epoch_start]/[Epoch_end] span pair stamped with the epoch index. *)
 
 val graph : t -> Graph_core.Graph.t
@@ -161,19 +150,18 @@ val random_trace :
     [join_probability] (default 0.55), never walking below the family
     floor. *)
 
-(** {2 lhg-reconfig/1} *)
+(** {2 lhg-reconfig/2} *)
 
 val schema : string
 
 val epoch_to_json : epoch -> string
-(** One epoch as an [lhg-reconfig/1] JSON object (schema, sizes,
+(** One epoch as an [lhg-reconfig/2] JSON object (schema, sizes,
     strategy and projected costs, applied/rejected counts, the full
-    added/removed/kept diff, verification mode and certificate-cache
-    counters, chaos boundary verdict). *)
+    added/removed/kept diff, the verification verdict, chaos boundary
+    verdict). *)
 
 val run_to_json : t -> epoch list -> string
 (** A whole run: header (family, k, n0, final n), the epoch objects,
-    and a summary (totals, cached vs full verification split,
-    [all_verified], [boundary_ok]). *)
+    and a summary (totals, [all_verified], [boundary_ok]). *)
 
 val pp_epoch : Format.formatter -> epoch -> unit

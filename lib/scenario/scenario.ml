@@ -54,7 +54,6 @@ type controller = {
   chaos_adversary : string option;  (** per-epoch chaos audit generator *)
   chaos_plans_per_level : int;
   chaos_max_faults : int option;
-  full_verify : bool;
 }
 
 let default_controller =
@@ -66,7 +65,6 @@ let default_controller =
     chaos_adversary = None;
     chaos_plans_per_level = 2;
     chaos_max_faults = None;
-    full_verify = false;
   }
 
 (* The chaos-audit flag group ([lhg_tool chaos]); not part of a
@@ -267,10 +265,9 @@ let run ?obs ?pool t =
     | None -> Ok None
     | Some path -> Result.map Option.some (Chaos.Plan.of_file path)
   in
-  let verify = if t.controller.full_verify then Controller.Full else Controller.Cached in
   let* ctrl =
     Result.map_error Overlay.Error.to_string
-      (Controller.create ?pool ~verify ?chaos ~family ~k:spec.Spec.k ~n:spec.Spec.n ())
+      (Controller.create ?pool ?chaos ~family ~k:spec.Spec.k ~n:spec.Spec.n ())
   in
   let* epochs =
     Result.map_error Overlay.Error.to_string

@@ -6,8 +6,8 @@
     a {!Spec} (topology, sizes, seed, engine, jobs, metrics), a
     {!traffic} record (workload, link capacity and queueing, priority
     bands, mid-stream chaos plan, SLOs) and a {!controller} record
-    (request trace, batching, verification mode, per-epoch chaos
-    audits) — plus the one scenario-only knob, {!t.epoch_interval}.
+    (request trace, batching, per-epoch chaos audits) — plus the one
+    scenario-only knob, {!t.epoch_interval}.
 
     {!run} pre-plays the controller trace into committed epochs
     (pure graph work, engine-independent), freezes the {e union} of
@@ -47,12 +47,11 @@ type controller = {
   chaos_adversary : string option;  (** per-epoch chaos audit generator *)
   chaos_plans_per_level : int;
   chaos_max_faults : int option;
-  full_verify : bool;
 }
 
 val default_controller : controller
-(** 40 steps, batch 8, cached verification, no chaos — the
-    [controller] subcommand's defaults. *)
+(** 40 steps, batch 8, no chaos — the [controller] subcommand's
+    defaults. *)
 
 type chaos_audit = {
   adversary : string;

@@ -1,8 +1,8 @@
-(* Overlay.Controller: epoch-based reconfiguration with certificate-
-   cached verification. The load-bearing property: the lhg-reconfig/1
+(* Overlay.Controller: epoch-based reconfiguration, every epoch
+   verified in full. The load-bearing property: the lhg-reconfig/2
    epoch diffs are a faithful wire protocol — replaying them from the
-   base overlay reproduces the authoritative graph exactly, and the
-   cached verdict agrees with the full verifier at every step. *)
+   base overlay reproduces the authoritative graph exactly, and each
+   epoch's verdict is Verify.quick on the replayed graph. *)
 
 open Helpers
 module Graph = Graph_core.Graph
@@ -19,7 +19,7 @@ let replay g ~n_after (d : Overlay.Diff.t) =
   in
   Graph.of_edges ~n:n_after (kept @ d.Overlay.Diff.added)
 
-(* Replay every epoch from the frozen base; check the cached verdict
+(* Replay every epoch from the frozen base; check the epoch's verdict
    against Verify.quick on each intermediate graph; end on the
    authoritative graph. *)
 let check_replay t epochs =
@@ -63,29 +63,55 @@ let prop_replay_ktree =
       in
       check_replay t epochs)
 
+(* At k = 3, JD exists at every even size from 10 up. An even-length
+   batch moves the size by an even amount, and 12 steps from 24 never
+   reach 8, so every epoch's target is buildable. *)
+let prop_replay_jd =
+  qcheck ~count:10 "jd epochs replay from base"
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 6))
+    (fun (seed, half) ->
+      let t, epochs =
+        run_trace ~family:Overlay.Membership.Jd ~k:3 ~n0:24 ~seed ~steps:(2 * half) ~batch:2 ()
+      in
+      check_replay t epochs)
+
+(* Classic H(4, n) meets the P4 bound up to n = 57 and misses it from
+   n = 58 on, so traces from 56 mix verified and unverified epochs. *)
+let prop_replay_harary =
+  qcheck ~count:10 "harary rebuild-only epochs replay from base"
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 24))
+    (fun (seed, steps) ->
+      let t, epochs =
+        run_trace ~family:Overlay.Membership.Harary_classic ~k:4 ~n0:56 ~seed ~steps
+          ~batch:4 ()
+      in
+      check_replay t epochs)
+
 let test_full_mode () =
   let _, epochs =
-    run_trace ~verify:Controller.Full ~family:Overlay.Membership.Kdiamond ~k:4
-      ~n0:16 ~seed:7 ~steps:12 ~batch:4 ()
+    run_trace ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:16 ~seed:7 ~steps:12 ~batch:4 ()
   in
   check_bool "some epochs" true (epochs <> []);
   List.iter
     (fun (e : Controller.epoch) ->
-      check_bool "full mode" true (e.Controller.verification.Controller.mode = `Full);
+      let v = e.Controller.verification in
+      check_bool "full mode" true (v.Controller.mode = `Full);
+      check_int "no certificate counts" 0
+        (v.Controller.reused + v.Controller.revalidated + v.Controller.recomputed);
       check_bool "verified" true (Controller.epoch_verified e))
     epochs
 
-let test_cached_mode_agrees () =
-  let _, epochs =
-    run_trace ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:24 ~seed:3 ~steps:24
-      ~batch:6 ()
+(* [?verify] is accepted and ignored: both settings print the same
+   document. *)
+let test_verify_shim_inert () =
+  let doc verify =
+    let t, epochs =
+      run_trace ~verify ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:24 ~seed:3 ~steps:24
+        ~batch:6 ()
+    in
+    Controller.run_to_json t epochs
   in
-  List.iter
-    (fun (e : Controller.epoch) ->
-      check_bool "not the full path" true
-        (e.Controller.verification.Controller.mode <> `Full);
-      check_bool "verified" true (Controller.epoch_verified e))
-    epochs
+  Alcotest.(check string) "same document" (doc Controller.Cached) (doc Controller.Full)
 
 let test_chaos_audits_run () =
   let adv = Result.get_ok (Chaos.Gen.of_string "min-cut") in
@@ -133,27 +159,31 @@ let test_parse_trace_error () =
   | Error (Overlay.Error.Invalid_trace { line; _ }) -> check_int "line" 2 line
   | Error e -> Alcotest.fail (Overlay.Error.to_string e)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_json_schema () =
   let t, epochs =
     run_trace ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:16 ~seed:2 ~steps:10
       ~batch:5 ()
   in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   let doc = Controller.run_to_json t epochs in
   List.iter
     (fun needle -> check_bool needle true (contains doc needle))
     [
-      {|"schema": "lhg-reconfig/1"|};
+      {|"schema": "lhg-reconfig/2"|};
       {|"strategy"|};
       {|"diff"|};
       {|"verification"|};
+      {|"verified": true|};
       {|"summary"|};
       {|"all_verified": true|};
-    ]
+    ];
+  List.iter
+    (fun gone -> check_bool (gone ^ " dropped") false (contains doc gone))
+    [ {|"mode"|}; {|"reused"|}; {|"cached_epochs"|}; {|"full_verifies"|} ]
 
 (* The cache itself: witnesses survive an honest rebuild, and breaking
    minimal k-connectivity (any single edge removal does) is caught. *)
@@ -193,10 +223,9 @@ let prop_cert_fans_match_menger =
         (registry_graphs ~n ~k ~seed))
 
 (* Connectivity holds but P4 does not: the classic Harary graph
-   H(4, 200) has diameter 50 against a bound of 16. The verdict is a
-   cached "not verified", with no full fallback and the cache still
-   armed. *)
-let test_diameter_miss_stays_cached () =
+   H(4, 200) has diameter 50 against a bound of 16. The certificates
+   hold, the diameter check fails, and the cache stays armed. *)
+let test_cert_diameter_miss () =
   let g = Harary.make ~k:4 ~n:200 in
   let c = Cert.create ~k:4 in
   check_bool "arms" true (Cert.rebuild c ~graph:g);
@@ -204,33 +233,29 @@ let test_diameter_miss_stays_cached () =
   check_bool "connectivity holds" true r.Cert.connectivity_ok;
   check_bool "diameter fails" false r.Cert.diameter_ok;
   check_bool "still armed" true (Cert.armed c);
-  check_bool "agrees with Verify.quick" (Lhg_core.Verify.quick g ~k:4) (Cert.ok r);
+  check_bool "agrees with Verify.quick" (Lhg_core.Verify.quick g ~k:4) (Cert.ok r)
+
+(* The same graph as a controller overlay: its first epoch is
+   committed unverified and printed as such. *)
+let test_harary_n200_not_verified () =
   match Controller.create ~family:Overlay.Membership.Harary_classic ~k:4 ~n:200 () with
   | Error e -> Alcotest.fail (Overlay.Error.to_string e)
   | Ok t -> (
       match Controller.commit_epoch t with
       | Error e -> Alcotest.fail (Overlay.Error.to_string e)
       | Ok e ->
-          check_bool "cached, no fallback" true
-            (e.Controller.verification.Controller.mode = `Cached);
-          check_bool "not verified" false (Controller.epoch_verified e))
+          check_bool "not verified" false (Controller.epoch_verified e);
+          check_bool "printed" true
+            (contains (Format.asprintf "%a" Controller.pp_epoch e) "NOT VERIFIED"))
 
-(* The size where the old 2·ecc(0) test sent every epoch to the full
-   fallback: every epoch is now cached and verified, and the final
-   verdict agrees with the full verifier. *)
-let test_cached_at_n1026 () =
-  let t, epochs =
-    run_trace ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:1026 ~seed:1 ~steps:16 ~batch:8 ()
+(* The controller's large-n tier: two epochs at n = 4098, each
+   verified. *)
+let test_verified_at_n4098 () =
+  let _, epochs =
+    run_trace ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:4098 ~seed:1 ~steps:16 ~batch:8 ()
   in
   check_int "two epochs" 2 (List.length epochs);
-  List.iter
-    (fun (e : Controller.epoch) ->
-      check_bool "cached" true (e.Controller.verification.Controller.mode = `Cached);
-      check_bool "verified" true (Controller.epoch_verified e))
-    epochs;
-  check_bool "final verdict agrees with Verify.quick"
-    (Lhg_core.Verify.quick (Controller.graph t) ~k:4)
-    (List.for_all Controller.epoch_verified epochs)
+  List.iter (fun e -> check_bool "verified" true (Controller.epoch_verified e)) epochs
 
 (* Satellite bugfix: churn rejects invalid parameters with typed
    errors instead of looping or misbehaving. *)
@@ -255,16 +280,19 @@ let suite =
   [
     prop_replay_kdiamond;
     prop_replay_ktree;
+    prop_replay_jd;
+    prop_replay_harary;
     Alcotest.test_case "full mode" `Quick test_full_mode;
-    Alcotest.test_case "cached mode agrees" `Quick test_cached_mode_agrees;
+    Alcotest.test_case "verify shim is inert" `Quick test_verify_shim_inert;
     Alcotest.test_case "chaos audits" `Quick test_chaos_audits_run;
     Alcotest.test_case "floor rejection" `Quick test_floor_rejection;
     Alcotest.test_case "parse trace" `Quick test_parse_trace;
     Alcotest.test_case "parse trace error" `Quick test_parse_trace_error;
-    Alcotest.test_case "lhg-reconfig/1 json" `Quick test_json_schema;
+    Alcotest.test_case "lhg-reconfig/2 json" `Quick test_json_schema;
     Alcotest.test_case "cert detects damage" `Quick test_cert_detects_damage;
     prop_cert_fans_match_menger;
-    Alcotest.test_case "diameter miss stays cached" `Quick test_diameter_miss_stays_cached;
-    Alcotest.test_case "cached at n=1026" `Quick test_cached_at_n1026;
+    Alcotest.test_case "cert diameter miss stays armed" `Quick test_cert_diameter_miss;
+    Alcotest.test_case "harary n=200 not verified" `Quick test_harary_n200_not_verified;
     Alcotest.test_case "churn validation" `Quick test_churn_validation;
+    Alcotest.test_case "verified at n=4098" `Slow test_verified_at_n4098;
   ]

@@ -94,7 +94,7 @@ let test_validate_wording () =
 let test_lower () =
   let family = Option.get (Scenario.family_of_topology "kdiamond") in
   let ctrl =
-    match Controller.create ~verify:Controller.Cached ~family ~k:4 ~n:24 () with
+    match Controller.create ~family ~k:4 ~n:24 () with
     | Ok c -> c
     | Error e -> Alcotest.failf "controller: %s" (Overlay.Error.to_string e)
   in

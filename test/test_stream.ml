@@ -1,5 +1,5 @@
 (* Obs.Stream: the shared versioned JSON-document writer behind
-   lhg-chaos/1, lhg-reconfig/1 and lhg-traffic/1. *)
+   lhg-chaos/1, lhg-reconfig/2 and lhg-traffic/1. *)
 
 open Helpers
 module S = Obs.Stream
