@@ -215,30 +215,29 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
     end
     else begin
       nd.round <- r;
-      let lv = View.live (View.Pool.get pool nd.vref) in
-      if not (View.mem lv nd.id) then nd.evicted <- true
+      let v = View.Pool.get pool nd.vref in
+      if not (View.is_live v nd.id) then nd.evicted <- true
       else begin
         if nd.changed then begin
           nd.changed <- false;
           nd.stable <- 0
         end
         else nd.stable <- nd.stable + 1;
-        if nd.stable >= params.stability && try_freeze nd r lv then ()
+        if nd.stable >= params.stability && try_freeze nd r v then ()
         else begin
-          do_push nd r lv;
+          do_push nd r v;
           schedule_tick nd (r + 1)
         end
       end
     end
-  and do_push nd r lv =
-    let c = Array.length lv - 1 in
+  and do_push nd r v =
+    let c = View.live_count v - 1 in
     if c > 0 then begin
-      let rk = View.rank lv nd.id in
+      let rk = View.live_rank v nd.id in
       let idx = mix seed nd.id r mod c in
-      let peer = lv.(if idx >= rk then idx + 1 else idx) in
-      send nd peer Wire.Push
+      send nd (View.live_select v (if idx >= rk then idx + 1 else idx)) Wire.Push
     end
-  and try_freeze nd r lv =
+  and try_freeze nd r v =
     match targets_for nd.vref with
     | None -> false
     | Some adj ->
@@ -247,7 +246,7 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
         nd.gen <- nd.gen + 1;
         incr freezes;
         progress ();
-        let tg = adj.(View.rank lv nd.id) in
+        let tg = adj.(View.live_rank v nd.id) in
         nd.targets <- tg;
         let len = Array.length tg in
         nd.acked <- Array.make len false;
@@ -369,8 +368,8 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
           settled first
           && List.for_all (fun nd -> settled nd && nd.vref = first.vref) rest
           &&
-          let lv = View.live (View.Pool.get pool first.vref) in
-          List.for_all (fun nd -> View.mem lv nd.id) participants
+          let v = View.Pool.get pool first.vref in
+          List.for_all (fun nd -> View.is_live v nd.id) participants
         then Some first.vref
         else None
   in
@@ -380,7 +379,7 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
     | None -> ([||], [||])
     | Some v0 ->
         let v = View.Pool.get pool v0 in
-        (View.live v, v.View.dead)
+        (View.live v, View.dead v)
   in
   (* the realized overlay: an edge exists iff both endpoints recorded
      the handshake under the consensus view *)
@@ -388,9 +387,8 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
     match consensus with
     | None -> None
     | Some v0 ->
-        let lv = final_members in
-        let n' = Array.length lv in
-        let g = Graph.create ~n:n' in
+        let v = View.Pool.get pool v0 in
+        let g = Graph.create ~n:(Array.length final_members) in
         Array.iteri
           (fun r u ->
             let peers =
@@ -403,11 +401,11 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
               (fun p ->
                 match Hashtbl.find_opt nodes.(p).established u with
                 | Some pref when pref = v0 ->
-                    let rp = View.rank lv p in
+                    let rp = View.live_rank v p in
                     if rp >= 0 then Graph.add_edge g r rp
                 | _ -> ())
               peers)
-          lv;
+          final_members;
         Some g
   in
   let verified =

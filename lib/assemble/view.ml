@@ -1,155 +1,183 @@
-type t = { members : int array; dead : int array }
+(* Sets of node ids are bitsets of [bits] ids per word. 62 keeps every
+   word below 2^62, so the SWAR popcount's masks and its final multiply
+   never reach the sign bit of a 63-bit OCaml int. Every set is trimmed
+   (no trailing zero word), so equal sets are equal arrays. *)
+let bits = 62
 
-(* sorted-array set algebra: views are tiny relative to the message
-   volume, so plain O(n) merges beat any tree structure *)
+type t = {
+  members : int array;
+  dead : int array;  (** a subset of [members] *)
+  live_count : int;
+  hash : int;
+}
 
-let dedup_sorted a =
-  let n = Array.length a in
-  if n <= 1 then a
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+(* index of the lowest set bit of a non-zero word *)
+let ctz x = popcount ((x land -x) - 1)
+
+let popcount_words a = Array.fold_left (fun c w -> c + popcount w) 0 a
+
+(* sized by the largest id, so the top word is non-zero *)
+let of_ids ids =
+  let hi =
+    List.fold_left
+      (fun m v -> if v < 0 then invalid_arg "Assemble.View.make: negative id" else max m v)
+      (-1) ids
+  in
+  if hi < 0 then [||]
   else begin
-    let out = Array.make n a.(0) in
-    let j = ref 0 in
-    for i = 1 to n - 1 do
-      if a.(i) <> out.(!j) then begin
-        incr j;
-        out.(!j) <- a.(i)
-      end
-    done;
-    Array.sub out 0 (!j + 1)
+    let a = Array.make ((hi / bits) + 1) 0 in
+    List.iter (fun v -> a.(v / bits) <- a.(v / bits) lor (1 lsl (v mod bits))) ids;
+    a
   end
 
-let normalize l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  dedup_sorted a
+let mem_words a v =
+  v >= 0
+  &&
+  let w = v / bits in
+  w < Array.length a && (a.(w) lsr (v mod bits)) land 1 = 1
 
+(* trimmed inputs give a trimmed union: the longer one's top word is
+   non-zero *)
 let union a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then b
-  else if lb = 0 then a
+  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
+  if Array.length b = 0 then a
   else begin
-    let out = Array.make (la + lb) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < la && !j < lb do
-      let x = a.(!i) and y = b.(!j) in
-      if x < y then begin
-        out.(!k) <- x;
-        incr i
-      end
-      else if y < x then begin
-        out.(!k) <- y;
-        incr j
-      end
-      else begin
-        out.(!k) <- x;
-        incr i;
-        incr j
-      end;
-      incr k
-    done;
-    while !i < la do
-      out.(!k) <- a.(!i);
-      incr i;
-      incr k
-    done;
-    while !j < lb do
-      out.(!k) <- b.(!j);
-      incr j;
-      incr k
-    done;
-    Array.sub out 0 !k
+    let out = Array.copy a in
+    Array.iteri (fun i w -> out.(i) <- out.(i) lor w) b;
+    out
   end
 
-let diff a b =
-  let la = Array.length a and lb = Array.length b in
-  if lb = 0 then a
-  else begin
-    let out = Array.make la 0 in
-    let j = ref 0 and k = ref 0 in
-    for i = 0 to la - 1 do
-      let x = a.(i) in
-      while !j < lb && b.(!j) < x do
-        incr j
-      done;
-      if not (!j < lb && b.(!j) = x) then begin
-        out.(!k) <- x;
-        incr k
-      end
-    done;
-    if !k = la then a else Array.sub out 0 !k
-  end
-
-let inter a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (min la lb) 0 in
-  let j = ref 0 and k = ref 0 in
-  for i = 0 to la - 1 do
-    let x = a.(i) in
-    while !j < lb && b.(!j) < x do
-      incr j
-    done;
-    if !j < lb && b.(!j) = x then begin
-      out.(!k) <- x;
-      incr k
-    end
+(* a ⊆ b; a trimmed [a] longer than [b] has an id beyond [b]'s words *)
+let subset a b =
+  let la = Array.length a in
+  la <= Array.length b
+  &&
+  let i = ref 0 in
+  while !i < la && a.(!i) land lnot b.(!i) = 0 do
+    incr i
   done;
-  Array.sub out 0 !k
+  !i = la
+
+(* xor-multiply-fold per word, so every bit of every word reaches the
+   low bits a hash table indexes by *)
+let hash_words h a =
+  Array.fold_left
+    (fun h w ->
+      let h = (h lxor w) * 0x100000001b3 in
+      h lxor (h lsr 32))
+    h a
+
+let create members dead =
+  let h = hash_words (hash_words 0x2545f491 members lxor Array.length members) dead in
+  let h = (h lxor (h lsr 29)) * 0x100000001b3 in
+  {
+    members;
+    dead;
+    live_count = popcount_words members - popcount_words dead;
+    hash = (h lxor (h lsr 32)) land max_int;
+  }
+
+let empty = create [||] [||]
 
 let make ~members ~dead =
-  let members = normalize members in
-  let dead = inter (normalize dead) members in
-  { members; dead }
+  let members = of_ids members in
+  create members (of_ids (List.filter (mem_words members) dead))
 
 let bootstrap ~self ~contact = make ~members:[ self; contact ] ~dead:[]
 
-let merge a b =
-  if a == b then a
-  else { members = union a.members b.members; dead = union a.dead b.dead }
+let merge a b = if a == b then a else create (union a.members b.members) (union a.dead b.dead)
 
 let add_dead t ids =
-  let ids = Array.copy ids in
-  Array.sort compare ids;
-  { t with dead = union t.dead (inter (dedup_sorted ids) t.members) }
+  create t.members
+    (union t.dead (of_ids (List.filter (mem_words t.members) (Array.to_list ids))))
 
-let live t = diff t.members t.dead
+let live_word t i =
+  if i < Array.length t.dead then t.members.(i) land lnot t.dead.(i) else t.members.(i)
 
-let equal a b = a == b || (a.members = b.members && a.dead = b.dead)
-
-let key t =
-  let b = Buffer.create (8 * (Array.length t.members + Array.length t.dead)) in
-  Array.iter
-    (fun v ->
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b ',')
-    t.members;
-  Buffer.add_char b '|';
-  Array.iter
-    (fun v ->
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b ',')
-    t.dead;
-  Buffer.contents b
-
-let rank a x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
+(* the ids of the set bits of [word 0 .. word (words - 1)], ascending *)
+let ids ~count ~words word =
+  let out = Array.make count 0 and k = ref 0 in
+  for i = 0 to words - 1 do
+    let x = ref (word i) in
+    while !x <> 0 do
+      out.(!k) <- (i * bits) + ctz !x;
+      incr k;
+      x := !x land (!x - 1)
+    done
   done;
-  if !lo < Array.length a && a.(!lo) = x then !lo else -1
+  out
 
-let mem a x = rank a x >= 0
+let live t = ids ~count:t.live_count ~words:(Array.length t.members) (live_word t)
+
+let dead t = ids ~count:(popcount_words t.dead) ~words:(Array.length t.dead) (Array.get t.dead)
+
+let live_count t = t.live_count
+
+let is_live t v = mem_words t.members v && not (mem_words t.dead v)
+
+let live_rank t v =
+  if not (is_live t v) then -1
+  else begin
+    let w = v / bits in
+    let r = ref (popcount (live_word t w land ((1 lsl (v mod bits)) - 1))) in
+    for i = 0 to w - 1 do
+      r := !r + popcount (live_word t i)
+    done;
+    !r
+  end
+
+let live_select t r =
+  if r < 0 || r >= t.live_count then invalid_arg "Assemble.View.live_select: rank out of range";
+  let rec go i r =
+    let x = live_word t i in
+    let c = popcount x in
+    if r >= c then go (i + 1) (r - c)
+    else begin
+      (* clear the r lowest live bits; the next one is the answer *)
+      let x = ref x in
+      for _ = 1 to r do
+        x := !x land (!x - 1)
+      done;
+      (i * bits) + ctz !x
+    end
+  in
+  go 0 r
+
+let equal a b =
+  a == b
+  || (a.hash = b.hash && a.members = b.members && a.dead = b.dead)
+
+module Key = struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash v = v.hash
+end
 
 module Pool = struct
   type view = t
 
   type nonrec t = {
-    tbl : (string, int) Hashtbl.t;
+    find : view -> int option;
+    add : view -> int -> unit;
     mutable views : view array;
     mutable len : int;
   }
 
-  let create () = { tbl = Hashtbl.create 64; views = Array.make 16 { members = [||]; dead = [||] }; len = 0 }
+  (* the table is made per pool, not by a top-level functor
+     application, which would allocate while every program that links
+     this library starts up; that alone shifted the GC schedule of runs
+     that never assemble (a million-node flood peaked 8 MiB higher) *)
+  let create () =
+    let module Tbl = Hashtbl.Make (Key) in
+    let tbl = Tbl.create 64 in
+    { find = Tbl.find_opt tbl; add = Tbl.add tbl; views = Array.make 16 empty; len = 0 }
 
   let get t r =
     if r < 0 || r >= t.len then invalid_arg "Assemble.View.Pool.get: unknown ref";
@@ -158,8 +186,7 @@ module Pool = struct
   let size t = t.len
 
   let intern t v =
-    let k = key v in
-    match Hashtbl.find_opt t.tbl k with
+    match t.find v with
     | Some r -> r
     | None ->
         let r = t.len in
@@ -170,18 +197,17 @@ module Pool = struct
         end;
         t.views.(r) <- v;
         t.len <- r + 1;
-        Hashtbl.add t.tbl k r;
+        t.add v r;
         r
 
+  (* the join is [a] when [b] adds nothing to it, and vice versa; only
+     a strictly larger join is allocated *)
   let merge_refs t a b =
     if a = b then a
     else begin
-      let m = merge (get t a) (get t b) in
-      let va = get t a in
-      if equal m va then a
-      else begin
-        let vb = get t b in
-        if equal m vb then b else intern t m
-      end
+      let va = get t a and vb = get t b in
+      if subset vb.members va.members && subset vb.dead va.dead then a
+      else if subset va.members vb.members && subset va.dead vb.dead then b
+      else intern t (merge va vb)
     end
 end

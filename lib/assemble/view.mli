@@ -13,15 +13,31 @@
     sorted ascending, their ranks are the slot assignment every node
     computes identically from the same view ({!Run}), which is what
     lets the deterministic kdiamond shape arithmetic replace a
-    leader. *)
+    leader.
 
-type t = private {
-  members : int array;  (** sorted ascending, no duplicates *)
-  dead : int array;  (** sorted ascending, a subset of [members] *)
-}
+    {b Representation.} Both sets are bitsets of 62 ids per word
+    (keeping each word clear of the sign bit, so a branch-free popcount
+    works on it), trimmed of trailing zero words, so a view whose
+    largest id is [m] costs about [m / 62] words rather than one word
+    per member. Each view also caches its live count and a structural
+    hash. With [w] = the longer view's word count:
+    - {!merge}, {!equal} and {!Pool.merge_refs} are O(w) word
+      operations; [merge_refs] answers by word-wise inclusion and
+      allocates only when the join is strictly larger than both sides;
+    - {!live_count} and {!is_live} are O(1);
+    - {!live_rank} and {!live_select} are O(w) popcounts, and {!live}
+      and {!dead} allocate their id arrays.
+
+    The representation is invisible on the wire: {!Pool} still hands
+    out refs in first-seen order and decides equality on the sets, so
+    the refs every message carries, and every [lhg-assemble/1]
+    document, are those of a sorted-array view. *)
+
+type t
 
 val make : members:int list -> dead:int list -> t
-(** Normalise (sort, dedup, clip [dead] to [members]). *)
+(** Normalise (dedup, clip [dead] to [members]).
+    @raise Invalid_argument on a negative id. *)
 
 val bootstrap : self:int -> contact:int -> t
 (** The view a node is born with: itself and one contact, nobody
@@ -36,17 +52,24 @@ val add_dead : t -> int array -> t
 val live : t -> int array
 (** [members] minus [dead], sorted ascending — the electorate. *)
 
+val dead : t -> int array
+(** The declared-dead ids, sorted ascending. *)
+
+val live_count : t -> int
+(** [Array.length (live t)], cached. *)
+
+val is_live : t -> int -> bool
+(** Member and not dead. *)
+
+val live_rank : t -> int -> int
+(** Index of a live id in {!live}; [-1] when the id is absent or
+    dead. *)
+
+val live_select : t -> int -> int
+(** [live_select t r = (live t).(r)].
+    @raise Invalid_argument unless [0 <= r < live_count t]. *)
+
 val equal : t -> t -> bool
-
-val key : t -> string
-(** Canonical byte string: equal views have equal keys (the interning
-    key of {!Pool}). *)
-
-val mem : int array -> int -> bool
-(** Binary-search membership in a sorted array. *)
-
-val rank : int array -> int -> int
-(** Binary-search rank in a sorted array; [-1] when absent. *)
 
 (** Interning table: one integer per distinct view, allocated in
     first-seen order. Protocol messages carry these refs as their
@@ -70,5 +93,6 @@ module Pool : sig
 
   val merge_refs : t -> int -> int -> int
   (** [merge_refs p a b]: ref of the join of two interned views ([a]
-      when they coincide). *)
+      when [b] adds nothing to it, else [b] when [a] adds nothing to
+      [b]). *)
 end

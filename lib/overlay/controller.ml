@@ -148,9 +148,9 @@ let feed t r = t.queue <- r :: t.queue
 let pending t = List.length t.queue
 
 (* Validation pass: walk the batch against a simulated size, splitting
-   it into the accepted requests (with the size they lead to) and the
-   rejected ones. Both strategies then apply exactly the accepted
-   list, so they are always comparable. *)
+   it into the accepted requests with their batch index (and the size
+   they lead to) and the rejected ones. Both strategies then apply
+   exactly the accepted list, so they are always comparable. *)
 let validate t reqs =
   let floor = floor_of ~family:t.family ~k:t.k in
   let fam = Membership.family_name t.family in
@@ -164,7 +164,7 @@ let validate t reqs =
       match target with
       | Some m when m >= floor ->
           sim := m;
-          accepted := r :: !accepted
+          accepted := (i, r) :: !accepted
       | Some m ->
           rejected :=
             { at = i; request = r; error = Error.Below_floor { family = fam; target = m; floor } }
@@ -189,7 +189,7 @@ let trial_apply engine reqs =
     ops := `L :: !ops
   in
   List.iter
-    (fun r ->
+    (fun (_, r) ->
       match r with
       | Join -> join ()
       | Leave -> leave ()
@@ -249,86 +249,83 @@ let commit_epoch t =
   (* candidate B: canonical rebuild at the target size *)
   let rebuild =
     match Membership.create ~family:t.family ~k:t.k ~n:n_target with
-    | Ok m -> Ok (Membership.graph m)
+    | Ok m ->
+        let g = Membership.graph m in
+        Ok (g, Diff.edges ~old_graph:t.graph ~new_graph:g)
     | Error e -> Error e
   in
-  let rebuild_diff =
-    match rebuild with
-    | Ok g -> Some (g, Diff.edges ~old_graph:t.graph ~new_graph:g)
-    | Error _ -> None
-  in
   let cost_repair = Option.map (fun (_, _, d) -> Diff.cost d) repair in
-  let cost_rebuild = Option.map (fun (_, d) -> Diff.cost d) rebuild_diff in
-  let chosen =
-    match (repair, rebuild_diff) with
-    | Some r, Some b ->
+  let cost_rebuild = match rebuild with Ok (_, d) -> Some (Diff.cost d) | Error _ -> None in
+  let pick =
+    match (repair, rebuild) with
+    | Some ((_, _, dr) as r), Ok ((_, db) as b) ->
         (* ties go to repair: it keeps every surviving id in place *)
-        if Diff.cost (let _, _, d = r in d) <= Diff.cost (snd b) then Ok (`Repair r)
-        else Ok (`Rebuild b)
-    | Some r, None -> Ok (`Repair r)
-    | None, Some b -> Ok (`Rebuild b)
-    | None, None -> (
-        match rebuild with Error e -> Error e | Ok _ -> assert false)
+        if Diff.cost dr <= Diff.cost db then `Repair r else `Rebuild b
+    | Some r, Error _ -> `Repair r
+    | None, Ok b -> `Rebuild b
+    | None, Error e -> `Refuse e
   in
-  match chosen with
-  | Error e ->
-      (* nothing applicable: put the batch back and report *)
-      t.queue <- List.rev reqs;
-      Error e
-  | Ok pick ->
-      let strategy, diff =
-        match pick with
-        | `Repair (engine, _, d) ->
-            t.graph <- Graph.copy (Incremental.graph engine);
-            (Repair, d)
-        | `Rebuild (g, d) ->
-            (match repair with
-            | Some (engine, ops, _) ->
-                rollback engine ops;
-                t.synced <- false
-            | None -> ());
-            t.graph <- g;
-            (Rebuild, d)
-      in
-      t.n <- Graph.n t.graph;
-      t.epochs <- index + 1;
-      let verification =
-        {
-          mode = `Full;
-          verified = Verify.quick ?pool:t.pool t.graph ~k:t.k;
-          reused = 0;
-          revalidated = 0;
-          recomputed = 0;
-        }
-      in
-      let audit = run_audit t ~index in
-      let applied = List.length accepted in
-      Reg.incr t.m_epochs;
-      Reg.add t.m_applied applied;
-      Reg.add t.m_rejected (List.length rejections);
-      if Reg.enabled t.obs then begin
-        Reg.observe t.h_cost (float_of_int (Diff.cost diff));
-        Reg.observe t.h_ms (Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) /. 1e6);
-        Reg.set (Reg.gauge t.obs "ctrl.n") (float_of_int t.n);
-        t.rewired <- t.rewired + Diff.cost diff;
-        Reg.set (Reg.gauge t.obs "ctrl.rewired") (float_of_int t.rewired);
-        Reg.event_at t.obs ~at:(float_of_int index) Reg.Epoch_end ~node:t.n
-          ~info:(Diff.cost diff)
-      end;
-      Ok
-        {
-          index;
-          n_before;
-          n_after = t.n;
-          applied;
-          rejections;
-          strategy;
-          cost_repair;
-          cost_rebuild;
-          diff;
-          verification;
-          audit;
-        }
+  let strategy, diff, applied, rejections =
+    match pick with
+    | `Repair (engine, _, d) ->
+        t.graph <- Graph.copy (Incremental.graph engine);
+        (Repair, d, List.length accepted, rejections)
+    | `Rebuild (g, d) ->
+        (match repair with
+        | Some (engine, ops, _) ->
+            rollback engine ops;
+            t.synced <- false
+        | None -> ());
+        t.graph <- g;
+        (Rebuild, d, List.length accepted, rejections)
+    | `Refuse e ->
+        (* the family has no topology at the target size (a JD gap)
+           and no engine can repair towards it: the epoch refuses its
+           accepted requests, as validation refuses a below-floor one,
+           and keeps the overlay *)
+        let refused = List.map (fun (at, request) -> { at; request; error = e }) accepted in
+        ( Rebuild,
+          { Diff.added = []; removed = []; kept = Graph.m t.graph },
+          0,
+          List.merge (fun a b -> compare a.at b.at) rejections refused )
+  in
+  t.n <- Graph.n t.graph;
+  t.epochs <- index + 1;
+  let verification =
+    {
+      mode = `Full;
+      verified = Verify.quick ?pool:t.pool t.graph ~k:t.k;
+      reused = 0;
+      revalidated = 0;
+      recomputed = 0;
+    }
+  in
+  let audit = run_audit t ~index in
+  Reg.incr t.m_epochs;
+  Reg.add t.m_applied applied;
+  Reg.add t.m_rejected (List.length rejections);
+  if Reg.enabled t.obs then begin
+    Reg.observe t.h_cost (float_of_int (Diff.cost diff));
+    Reg.observe t.h_ms (Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) /. 1e6);
+    Reg.set (Reg.gauge t.obs "ctrl.n") (float_of_int t.n);
+    t.rewired <- t.rewired + Diff.cost diff;
+    Reg.set (Reg.gauge t.obs "ctrl.rewired") (float_of_int t.rewired);
+    Reg.event_at t.obs ~at:(float_of_int index) Reg.Epoch_end ~node:t.n ~info:(Diff.cost diff)
+  end;
+  Ok
+    {
+      index;
+      n_before;
+      n_after = t.n;
+      applied;
+      rejections;
+      strategy;
+      cost_repair;
+      cost_rebuild;
+      diff;
+      verification;
+      audit;
+    }
 
 let run ?(batch = 8) t reqs =
   if batch < 1 then invalid_arg "Controller.run: batch must be >= 1";

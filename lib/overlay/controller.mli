@@ -64,7 +64,10 @@ type epoch = {
   n_before : int;
   n_after : int;
   applied : int;
-  rejections : rejection list;  (** requests refused by validation, in order *)
+  rejections : rejection list;
+      (** requests refused, in batch order: [Below_floor] by validation, or
+          every accepted request with [No_topology] when the family has no
+          topology at the epoch's target size and no repair engine *)
   strategy : strategy;
   cost_repair : int option;  (** projected cost of the repair candidate *)
   cost_rebuild : int option;
@@ -122,9 +125,12 @@ val pending : t -> int
 
 val commit_epoch : t -> (epoch, Error.t) result
 (** Commit the queued batch as one epoch (an empty batch is a valid,
-    empty epoch). Fails — leaving the queue intact and the overlay
-    unchanged — only when no strategy can reach the target size (e.g. a
-    JD gap with no repair engine). *)
+    empty epoch). When no strategy can reach the target size (a JD gap
+    with no repair engine), the epoch refuses every accepted request
+    with [No_topology], applies nothing (strategy [Rebuild], empty
+    diff, [n_after = n_before], no rebuild cost) and verifies the
+    unchanged overlay.
+    Currently always [Ok]. *)
 
 val run : ?batch:int -> t -> request list -> (epoch list, Error.t) result
 (** Feed a whole trace in batches of [batch] (default 8) requests per

@@ -187,6 +187,137 @@ let test_b9_rounds_within_c_log_n () =
         check_bool (tag ^ ": deaths declared") true (r.Audit.deaths_declared > 0))
     a.Audit.recovery
 
+(* The bitset View against the sorted-array reference model
+   (view_ref.ml): random sequences of make, bootstrap, merge, add_dead,
+   Pool.intern and Pool.merge_refs over ids 0..300, so views span up to
+   five 62-id words and end at different trimmed lengths. Every view
+   either side produces must read the same, and both pools must hand
+   out the same refs in the same order. *)
+module View = Assemble.View
+
+type view_op =
+  | Make of int list * int list
+  | Bootstrap of int * int
+  | Merge of int * int  (** two earlier views, by index *)
+  | Add_dead of int * int list * int list  (** view, raw ids, live ranks *)
+  | Intern of int
+  | Merge_refs of int * int  (** two earlier refs, by index *)
+
+let pp_view_op =
+  let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  function
+  | Make (m, d) -> Printf.sprintf "make %s %s" (ints m) (ints d)
+  | Bootstrap (s, c) -> Printf.sprintf "bootstrap %d %d" s c
+  | Merge (i, j) -> Printf.sprintf "merge v%d v%d" i j
+  | Add_dead (i, ids, ranks) -> Printf.sprintf "add_dead v%d %s ranks %s" i (ints ids) (ints ranks)
+  | Intern i -> Printf.sprintf "intern v%d" i
+  | Merge_refs (a, b) -> Printf.sprintf "merge_refs r%d r%d" a b
+
+let gen_view_op =
+  let open QCheck2.Gen in
+  let id = int_bound 300 in
+  let ids = list_size (int_bound 12) id in
+  let idx = int_bound 1_000 in
+  frequency
+    [
+      ( 3,
+        map3
+          (fun m d third -> Make (m, d @ List.filteri (fun i _ -> i mod 3 = third) m))
+          ids ids (int_bound 3) );
+      (1, map2 (fun s c -> Bootstrap (s, c)) id id);
+      (4, map2 (fun i j -> Merge (i, j)) idx idx);
+      ( 3,
+        map3
+          (fun i raw ranks -> Add_dead (i, raw, ranks))
+          idx (list_size (int_bound 3) id) (list_size (int_bound 4) idx) );
+      (3, map (fun i -> Intern i) idx);
+      (3, map2 (fun a b -> Merge_refs (a, b)) idx idx);
+    ]
+
+let view_max_id = 310
+
+(* every observable of [v] equals the model's, and [equal] agrees with
+   the model's against every earlier view *)
+let same_view ~earlier (m, v) =
+  let lv = View_ref.live m in
+  let count = Array.length lv in
+  let raises r =
+    match View.live_select v r with _ -> false | exception Invalid_argument _ -> true
+  in
+  View.live v = lv
+  && View.dead v = m.View_ref.dead
+  && View.live_count v = count
+  && List.for_all
+       (fun x -> View.is_live v x = View_ref.mem lv x && View.live_rank v x = View_ref.rank lv x)
+       (List.init (view_max_id + 2) (fun x -> x - 1))
+  && List.for_all (fun r -> View.live_select v r = lv.(r)) (List.init count Fun.id)
+  && raises (-1) && raises count
+  && List.for_all (fun (m', v') -> View.equal v v' = View_ref.equal m m') earlier
+
+let prop_view_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"bitset view = sorted-array reference"
+       ~print:(fun ops -> String.concat "\n" (List.map pp_view_op ops))
+       QCheck2.Gen.(list_size (int_range 1 40) gen_view_op)
+       (fun ops ->
+         let mpool = View_ref.Pool.create () and vpool = View.Pool.create () in
+         let boot = (View_ref.bootstrap ~self:0 ~contact:1, View.bootstrap ~self:0 ~contact:1) in
+         let views = ref [| boot |] and refs = ref [| (0, 0) |] in
+         let nth a i = a.(i mod Array.length a) in
+         let ok = ref (View_ref.Pool.intern mpool (fst boot) = View.Pool.intern vpool (snd boot)) in
+         let push (m, v) =
+           ok := !ok && same_view ~earlier:(Array.to_list !views) (m, v);
+           views := Array.append !views [| (m, v) |]
+         in
+         let push_ref (rm, rv) =
+           ok := !ok && rm = rv;
+           refs := Array.append !refs [| (rm, rv) |];
+           push (View_ref.Pool.get mpool rm, View.Pool.get vpool rv)
+         in
+         List.iter
+           (function
+             | Make (members, dead) ->
+                 push (View_ref.make ~members ~dead, View.make ~members ~dead)
+             | Bootstrap (self, contact) ->
+                 push (View_ref.bootstrap ~self ~contact, View.bootstrap ~self ~contact)
+             | Merge (i, j) ->
+                 let mi, vi = nth !views i and mj, vj = nth !views j in
+                 push (View_ref.merge mi mj, View.merge vi vj)
+             | Add_dead (i, raw, ranks) ->
+                 let m, v = nth !views i in
+                 let lv = View_ref.live m in
+                 let ids =
+                   Array.of_list
+                     (raw
+                     @ if Array.length lv = 0 then [] else List.map (nth lv) ranks)
+                 in
+                 push (View_ref.add_dead m ids, View.add_dead v ids)
+             | Intern i ->
+                 let m, v = nth !views i in
+                 push_ref (View_ref.Pool.intern mpool m, View.Pool.intern vpool v)
+             | Merge_refs (a, b) ->
+                 let ma, va = nth !refs a and mb, vb = nth !refs b in
+                 push_ref (View_ref.Pool.merge_refs mpool ma mb, View.Pool.merge_refs vpool va vb))
+           ops;
+         !ok && View_ref.Pool.size mpool = View.Pool.size vpool))
+
+(* The largest size tier-1 assembles: kdiamond n = 4098, k = 4, seed 1,
+   crash-free. Besides the B9 bound (3 * 13 = 39 rounds), it pins the
+   protocol's exact counts, which the view representation must not
+   move. *)
+let test_n4098 () =
+  let r = assemble ~n:4098 ~k:4 () in
+  check_bool "converged" true r.Run.converged;
+  check_bool "verified" true r.Run.verified;
+  check_bool "matches target" true r.Run.matches_target;
+  check_bool (Printf.sprintf "%d rounds <= 39" r.Run.rounds) true (r.Run.rounds <= 39);
+  check_int "rounds" 23 r.Run.rounds;
+  check_int "gossip rounds" 21 r.Run.gossip_rounds;
+  check_int "freezes" 4_208 r.Run.freezes;
+  check_int "unfreezes" 110 r.Run.unfreezes;
+  check_int "views interned" 54_281 r.Run.views_interned;
+  check_int "messages" 204_392 r.Run.messages
+
 let suite =
   [
     Alcotest.test_case "crash-free: converged, verified, target" `Quick test_crash_free_converges;
@@ -197,4 +328,6 @@ let suite =
     Alcotest.test_case "audit verdict and shape" `Quick test_audit_verdict;
     Alcotest.test_case "argument validation" `Quick test_rejects_bad_arguments;
     Alcotest.test_case "B9: rounds <= 3 log2 n to n=1026" `Slow test_b9_rounds_within_c_log_n;
+    prop_view_matches_reference;
+    Alcotest.test_case "n=4098: bound and exact counts" `Slow test_n4098;
   ]

@@ -145,6 +145,37 @@ let test_floor_rejection () =
           | _ -> Alcotest.fail "expected Below_floor");
           check_int "size unchanged" 8 (Controller.n t))
 
+(* JD at k = 3 has no graph at n = 8 (nor at odd n), although the
+   floor is 2k = 6, and it has no repair engine. Seed 2's trace walks
+   from 10 into 8: that epoch refuses both requests with No_topology,
+   keeps the overlay, and the run goes on. *)
+let test_jd_gap_refused () =
+  let t, epochs =
+    run_trace ~family:Overlay.Membership.Jd ~k:3 ~n0:12 ~seed:2 ~steps:12 ~batch:2 ()
+  in
+  check_int "every batch is an epoch" 6 (List.length epochs);
+  let gap (e : Controller.epoch) = e.Controller.applied = 0 && e.Controller.rejections <> [] in
+  match List.filter gap epochs with
+  | [ e ] ->
+      check_int "epoch 1" 1 e.Controller.index;
+      Alcotest.(check (list int))
+        "both requests refused, in order" [ 0; 1 ]
+        (List.map (fun (r : Controller.rejection) -> r.Controller.at) e.Controller.rejections);
+      List.iter
+        (fun (r : Controller.rejection) ->
+          match r.Controller.error with
+          | Overlay.Error.No_topology { n; k; _ } ->
+              check_int "gap size" 8 n;
+              check_int "gap k" 3 k
+          | e -> Alcotest.fail (Overlay.Error.to_string e))
+        e.Controller.rejections;
+      check_int "size kept" e.Controller.n_before e.Controller.n_after;
+      check_int "empty diff" 0 (Overlay.Diff.cost e.Controller.diff);
+      check_bool "no rebuild cost" true (e.Controller.cost_rebuild = None);
+      check_bool "every epoch replays and verifies" true
+        (check_replay t epochs && List.for_all Controller.epoch_verified epochs)
+  | l -> Alcotest.failf "expected one gap epoch, got %d" (List.length l)
+
 let test_parse_trace () =
   match Controller.parse_trace "# warmup\njoin\n\nleave\nresize 12\n" with
   | Error e -> Alcotest.fail (Overlay.Error.to_string e)
@@ -295,4 +326,5 @@ let suite =
     Alcotest.test_case "harary n=200 not verified" `Quick test_harary_n200_not_verified;
     Alcotest.test_case "churn validation" `Quick test_churn_validation;
     Alcotest.test_case "verified at n=4098" `Slow test_verified_at_n4098;
+    Alcotest.test_case "jd gap refused per request" `Quick test_jd_gap_refused;
   ]
