@@ -187,7 +187,7 @@ let verify c skip_minimality input =
 
 let verify_cmd =
   let skip =
-    Arg.(value & flag & info [ "skip-minimality" ] ~doc:"Skip the O(m) link-minimality check.")
+    Arg.(value & flag & info [ "skip-minimality" ] ~doc:"Skip the link-minimality check (P3): a degree scan plus one pair flow probe per edge whose endpoints both have degree above k.")
   in
   let input =
     Arg.(

@@ -1,61 +1,8 @@
-(* All flow-network construction and the global-connectivity search
-   loops run over a frozen CSR snapshot: the builders know the exact arc
-   count up front (zero growth copies) and neighbour scans are flat
-   array reads. The [Graph.t] entry points snapshot once and delegate. *)
-
-let edge_flow_network_csr csr =
-  let net =
-    Maxflow.Net.create_sized ~n:(max 1 (Csr.n csr)) ~arc_capacity:(4 * Csr.m csr)
-  in
-  Csr.iter_edges csr (fun u v -> Maxflow.Net.add_edge_bidir net u v ~cap:1);
-  net
-
-let edge_flow_network g = edge_flow_network_csr (Csr.of_graph g)
-
-let vertex_split_network_csr csr =
-  let nv = Csr.n csr in
-  let v_in v = 2 * v and v_out v = (2 * v) + 1 in
-  let net =
-    Maxflow.Net.create_sized ~n:(max 1 (2 * nv)) ~arc_capacity:((2 * nv) + (4 * Csr.m csr))
-  in
-  for v = 0 to nv - 1 do
-    Maxflow.Net.add_arc net ~src:(v_in v) ~dst:(v_out v) ~cap:1
-  done;
-  (* An undirected edge {u,v} lets flow cross in either direction between
-     the out-side of one endpoint and the in-side of the other. Edge arcs
-     carry effectively infinite capacity: flow is already bounded by the
-     unit interior arcs, and saturating only those guarantees minimum
-     cuts consist of interior arcs — i.e. of vertices. *)
-  let big = max 1 nv in
-  Csr.iter_edges csr (fun u v ->
-      Maxflow.Net.add_arc net ~src:(v_out u) ~dst:(v_in v) ~cap:big;
-      Maxflow.Net.add_arc net ~src:(v_out v) ~dst:(v_in u) ~cap:big);
-  (net, v_in, v_out)
-
-let vertex_split_network g = vertex_split_network_csr (Csr.of_graph g)
-
-let check_pair g s t name =
-  let nv = Graph.n g in
-  if s < 0 || s >= nv || t < 0 || t >= nv then invalid_arg (name ^ ": vertex out of range");
-  if s = t then invalid_arg (name ^ ": s = t")
-
-let local_edge_connectivity ?limit g ~s ~t =
-  check_pair g s t "Connectivity.local_edge_connectivity";
-  let net = edge_flow_network g in
-  Maxflow.max_flow ?limit net ~s ~t
-
-let local_vertex_connectivity ?limit g ~s ~t =
-  check_pair g s t "Connectivity.local_vertex_connectivity";
-  if Graph.has_edge g s t then begin
-    let g' = Graph.without_edge g s t in
-    let net, v_in, v_out = vertex_split_network g' in
-    let limit' = Option.map (fun l -> max 0 (l - 1)) limit in
-    1 + Maxflow.max_flow ?limit:limit' net ~s:(v_out s) ~t:(v_in t)
-  end
-  else begin
-    let net, v_in, v_out = vertex_split_network g in
-    Maxflow.max_flow ?limit net ~s:(v_out s) ~t:(v_in t)
-  end
+(* One flow engine: Even's prefix-order probes, searched straight over
+   a frozen CSR. The decisions run every probe; the exact values and
+   minimum cuts repeat the decision, reading a smaller cut off the first
+   failing probe; the witnesses read the probes' paths back. The
+   [Graph.t] entry points snapshot once and delegate. *)
 
 let min_degree_vertex csr =
   let nv = Csr.n csr in
@@ -67,56 +14,11 @@ let min_degree_vertex csr =
 
 let min_degree csr = Csr.degree csr (min_degree_vertex csr)
 
-(* λ(G) = min over t ≠ v₀ of λ(v₀, t), starting from λ(G) ≤ δ(G) and
-   capping each flow at the best value so far; one network serves all t. *)
-let edge_connectivity_csr csr =
-  let nv = Csr.n csr in
-  if nv <= 1 then 0
-  else begin
-    let net = edge_flow_network_csr csr in
-    let best = ref (min_degree csr) in
-    let t = ref 1 in
-    while !best > 0 && !t < nv do
-      Maxflow.Net.reset_flow net;
-      let f = Maxflow.max_flow ~limit:!best net ~s:0 ~t:!t in
-      if f < !best then best := f;
-      incr t
-    done;
-    !best
-  end
-
-let edge_connectivity g = edge_connectivity_csr (Csr.of_graph g)
-
 let is_complete csr =
   let nv = Csr.n csr in
   Csr.m csr = nv * (nv - 1) / 2
 
-(* κ(G) by the min-degree-neighbourhood reduction. *)
-let vertex_connectivity_csr csr =
-  let nv = Csr.n csr in
-  if nv <= 1 then 0
-  else if is_complete csr then nv - 1
-  else begin
-    let v = min_degree_vertex csr in
-    let sources = v :: Csr.neighbors csr v in
-    let net, v_in, v_out = vertex_split_network_csr csr in
-    let best = ref (Csr.degree csr v) in
-    List.iter
-      (fun s ->
-        for t = 0 to nv - 1 do
-          if !best > 0 && t <> s && not (Csr.mem_edge csr s t) then begin
-            Maxflow.Net.reset_flow net;
-            let f = Maxflow.max_flow ~limit:!best net ~s:(v_out s) ~t:(v_in t) in
-            if f < !best then best := f
-          end
-        done)
-      sources;
-    !best
-  end
-
-let vertex_connectivity g = vertex_connectivity_csr (Csr.of_graph g)
-
-(* {2 Decisions: Even's prefix-order test}
+(* {2 Probes}
 
    The test and its exactness argument are in the interface and in
    DESIGN.md. Two choices make it fast: BFS order puts each vertex's
@@ -125,17 +27,19 @@ let vertex_connectivity g = vertex_connectivity_csr (Csr.of_graph g)
    probe never pays O(n) or O(m) to reset. *)
 
 (* Flat adjacency of a snapshot (a Bigarray snapshot is copied once),
-   plus the BFS order and each vertex's rank in it. *)
+   plus a vertex order and each vertex's rank in it. *)
 type prefix = { off : int array; adj : int array; order : int array; rank : int array }
 
+let flat csr =
+  match Csr.storage csr with
+  | Csr.Ints { offsets; neighbors } -> (offsets, neighbors)
+  | Csr.Big { offsets; neighbors } ->
+      let ints b = Array.init (Bigarray.Array1.dim b) (Bigarray.Array1.get b) in
+      (ints offsets, ints neighbors)
+
+(* BFS order from vertex 0; unreached vertices follow. *)
 let prefix_order csr =
-  let off, adj =
-    match Csr.storage csr with
-    | Csr.Ints { offsets; neighbors } -> (offsets, neighbors)
-    | Csr.Big { offsets; neighbors } ->
-        let ints b = Array.init (Bigarray.Array1.dim b) (Bigarray.Array1.get b) in
-        (ints offsets, ints neighbors)
-  in
+  let off, adj = flat csr in
   let nv = Csr.n csr in
   let order = Array.make nv 0 and rank = Array.make nv (-1) in
   let head = ref 0 and tail = ref 0 in
@@ -162,7 +66,10 @@ let prefix_order csr =
    vertex probes (2v is v_in, 2v+1 is v_out), vertices for edge probes
    — recording the generation that reached each one and how. [flow] is
    the probe's flow: a predecessor per vertex, or a net flow per CSR
-   slot; an entry counts only while its [stamp] equals the probe. *)
+   slot; an entry counts only while its [stamp] equals the probe. After
+   a probe falls short, [queue.(0 .. reached-1)] holds what its last,
+   stuck search labelled. [ends] are the last hops of a pair probe's
+   paths, newest first. *)
 type workspace = {
   mark : int array;
   from : int array;
@@ -171,6 +78,8 @@ type workspace = {
   stamp : int array;
   mutable gen : int;
   mutable probe : int;
+  mutable reached : int;
+  mutable ends : int list;
 }
 
 let workspace ~nodes ~flows =
@@ -182,20 +91,26 @@ let workspace ~nodes ~flows =
     stamp = Array.make flows 0;
     gen = 0;
     probe = 0;
+    reached = 0;
+    ends = [];
   }
+
+let pred_of ws v = if ws.stamp.(v) = ws.probe then ws.flow.(v) else -1
 
 (* Are there [k] paths from [src], pairwise sharing only [src], that end
    at [target] (a pair probe: [target] takes any number of paths) or at
    distinct vertices ranked below [limit] (a fan probe)? Each path stops
    at its first sink; shortest augmenting paths, one BFS each, after
-   the direct edges. Vertex capacities are 1, so the flow is a
-   predecessor per vertex: the vertex whose out-side sends it its unit,
-   or -1 when it carries none. *)
+   the direct edges. A direct [src]–[target] edge is one path, used
+   once. Vertex capacities are 1, so the flow is a predecessor per
+   vertex: the vertex whose out-side sends it its unit, or -1 when it
+   carries none. *)
 let vertex_paths p ws ~k ~src ~target ~limit =
   let off = p.off and adj = p.adj and rank = p.rank in
   let mark = ws.mark and from = ws.from and queue = ws.queue in
   let pred = ws.flow and stamp = ws.stamp in
   ws.probe <- ws.probe + 1;
+  ws.ends <- [];
   let probe = ws.probe in
   let pred_of v = if stamp.(v) = probe then pred.(v) else -1 in
   let set_pred v u =
@@ -208,6 +123,7 @@ let vertex_paths p ws ~k ~src ~target ~limit =
     let w = adj.(a) in
     if !found < k && free_sink w then begin
       set_pred w src;
+      if w = target then ws.ends <- [ src ];
       incr found
     end
   done;
@@ -241,12 +157,16 @@ let vertex_paths p ws ~k ~src ~target ~limit =
           let w = adj.(!a) in
           let wi = 2 * w in
           if mark.(wi) <> gen then begin
-            mark.(wi) <- gen;
-            from.(wi) <- x;
-            if free_sink w then hit := wi
-            else begin
+            if not (free_sink w) then begin
+              mark.(wi) <- gen;
+              from.(wi) <- x;
               queue.(!tail) <- wi;
               incr tail
+            end
+            else if w <> target || v <> src then begin
+              mark.(wi) <- gen;
+              from.(wi) <- x;
+              hit := wi
             end
           end;
           incr a
@@ -259,8 +179,12 @@ let vertex_paths p ws ~k ~src ~target ~limit =
         if u < 0 then visit (x + 1) x else visit ((2 * u) + 1) x
       end
     done;
-    if !hit < 0 then stuck := true
+    if !hit < 0 then begin
+      stuck := true;
+      ws.reached <- !tail
+    end
     else begin
+      if !hit = 2 * target then ws.ends <- (from.(!hit) lsr 1) :: ws.ends;
       (* Rewrite predecessors from the sink back: an arc u_out → w_in
          now carries flow, a reverse step w_in → u_out cancels w's. *)
       let y = ref !hit in
@@ -342,7 +266,10 @@ let edge_paths p rev ws ~k ~src =
         incr a
       done
     done;
-    if !hit < 0 then stuck := true
+    if !hit < 0 then begin
+      stuck := true;
+      ws.reached <- !tail
+    end
     else begin
       let w = ref !hit in
       while !w <> src do
@@ -355,10 +282,31 @@ let edge_paths p rev ws ~k ~src =
   done;
   !found >= k
 
-(* Run [probe ws j] for j = 1 .. n−1 and report whether all pass:
-   sequentially with an early exit, or split across the pool's domains
-   with one workspace each. Every probe is deterministic, so the
-   verdict is the same at any domain count. *)
+(* Probe j of the κ ≥ k test: v_j's pair probes against v₀ … v_{j−1}
+   while j < k, v_j's fan after. *)
+let vertex_probe csr p ~k ws j =
+  let v = p.order.(j) in
+  if j >= k then vertex_paths p ws ~k ~src:v ~target:(-1) ~limit:j
+  else begin
+    let rec pairs i =
+      i >= j
+      || (let u = p.order.(i) in
+          (Csr.mem_edge csr u v || vertex_paths p ws ~k ~src:u ~target:v ~limit:0) && pairs (i + 1))
+    in
+    pairs 0
+  end
+
+let edge_probe p rev ~k ws j = edge_paths p rev ws ~k ~src:p.order.(j)
+
+(* The first j in 1 .. nv−1 whose probe fails, running them in order on
+   one workspace, which then holds that probe's stuck search. *)
+let first_failure ws ~nv probe =
+  let rec from j = if j >= nv then None else if probe ws j then from (j + 1) else Some j in
+  from 1
+
+(* Do all probes pass? Sequentially with an early exit, or split across
+   the pool's domains with one workspace each. Every probe is
+   deterministic, so the verdict is the same at any domain count. *)
 let all_probes ?pool ~nv ~create probe =
   match pool with
   | Some pool when Par.Pool.size pool > 1 ->
@@ -367,107 +315,132 @@ let all_probes ?pool ~nv ~create probe =
       Par.Pool.parallel_for pool ~lo:1 ~hi:nv (fun ~worker j ->
           if Atomic.get ok && not (probe wss.(worker) j) then Atomic.set ok false);
       Atomic.get ok
-  | _ ->
-      let ws = create () in
-      let rec from j = j >= nv || (probe ws j && from (j + 1)) in
-      from 1
+  | _ -> first_failure (create ()) ~nv probe = None
+
+let vertex_workspace csr = workspace ~nodes:(2 * Csr.n csr) ~flows:(Csr.n csr)
+
+let edge_workspace p = workspace ~nodes:(Array.length p.order) ~flows:(Array.length p.adj)
 
 let is_k_edge_connected_csr ?pool csr ~k =
   if k < 0 then invalid_arg "Connectivity.is_k_edge_connected: negative k";
   if k = 0 then Csr.n csr > 0
   else if Csr.n csr <= 1 || min_degree csr < k then false
   else begin
-    let nv = Csr.n csr in
     let p = prefix_order csr in
     let rev = reverse_slots p in
-    all_probes ?pool ~nv
-      ~create:(fun () -> workspace ~nodes:nv ~flows:(Array.length p.adj))
-      (fun ws j -> edge_paths p rev ws ~k ~src:p.order.(j))
+    all_probes ?pool ~nv:(Csr.n csr) ~create:(fun () -> edge_workspace p) (edge_probe p rev ~k)
   end
 
 let is_k_edge_connected ?pool g ~k = is_k_edge_connected_csr ?pool (Csr.of_graph g) ~k
 
-(* Probe j < k is v_j's pair probes against v₀ … v_{j−1}; probe j ≥ k
-   is v_j's fan. *)
 let is_k_vertex_connected_csr ?pool csr ~k =
   if k < 0 then invalid_arg "Connectivity.is_k_vertex_connected: negative k";
   if k = 0 then Csr.n csr > 0
   else if Csr.n csr < k + 1 || min_degree csr < k then false
   else begin
-    let nv = Csr.n csr in
     let p = prefix_order csr in
-    all_probes ?pool ~nv
-      ~create:(fun () -> workspace ~nodes:(2 * nv) ~flows:nv)
-      (fun ws j ->
-        let v = p.order.(j) in
-        if j >= k then vertex_paths p ws ~k ~src:v ~target:(-1) ~limit:j
-        else begin
-          let rec pairs i =
-            i >= j
-            || (let u = p.order.(i) in
-                (Csr.mem_edge csr u v || vertex_paths p ws ~k ~src:u ~target:v ~limit:0)
-                && pairs (i + 1))
-          in
-          pairs 0
-        end)
+    all_probes ?pool ~nv:(Csr.n csr) ~create:(fun () -> vertex_workspace csr) (vertex_probe csr p ~k)
   end
 
 let is_k_vertex_connected ?pool g ~k = is_k_vertex_connected_csr ?pool (Csr.of_graph g) ~k
 
-(* λ = 0 exactly when there is no cut to find: fewer than two
-   vertices, or already disconnected *)
-let min_edge_cut csr =
-  let nv = Csr.n csr in
-  let lambda = edge_connectivity_csr csr in
-  if lambda = 0 then []
-  else begin
-    (* find the t minimising maxflow(0, t), then read the cut *)
-    let net = edge_flow_network_csr csr in
-    let best_t = ref (-1) in
-    let t = ref 1 in
-    while !best_t < 0 && !t < nv do
-      Maxflow.Net.reset_flow net;
-      if Maxflow.max_flow ~limit:(lambda + 1) net ~s:0 ~t:!t = lambda then best_t := !t;
-      incr t
-    done;
-    Maxflow.Net.reset_flow net;
-    ignore (Maxflow.max_flow net ~s:0 ~t:!best_t);
-    let side = Maxflow.min_cut_side net ~s:0 in
-    let cut = ref [] in
-    Csr.iter_edges csr (fun u v -> if side.(u) <> side.(v) then cut := (u, v) :: !cut);
-    List.rev !cut
-  end
+(* {2 Exact values and minimum cuts}
 
-(* likewise κ = 0 for fewer than two vertices or a disconnected graph;
-   a complete graph has no vertex cut at all *)
-let min_vertex_cut csr =
+   Decide at k = δ. When every probe passes, the value is δ and the
+   first minimum-degree vertex's neighbourhood (its edges) is a minimum
+   cut. Otherwise the first failing probe's stuck search is a cut of
+   fewer than k elements; decide again at its size. *)
+
+(* The cut behind a stuck vertex probe: the vertices whose in-side the
+   last search labelled and whose out-side it did not. That includes
+   every labelled prefix sink, whose out-side is never searched. *)
+let vertex_cut ws =
+  let cut = ref [] in
+  for i = 0 to ws.reached - 1 do
+    let x = ws.queue.(i) in
+    if x land 1 = 0 && ws.mark.(x + 1) <> ws.gen then cut := (x lsr 1) :: !cut
+  done;
+  List.sort compare !cut
+
+(* The cut behind a stuck edge probe: the edges leaving the labelled set. *)
+let edge_cut p ws =
+  let cut = ref [] in
+  for i = 0 to ws.reached - 1 do
+    let v = ws.queue.(i) in
+    for a = p.off.(v) to p.off.(v + 1) - 1 do
+      let w = p.adj.(a) in
+      if ws.mark.(w) <> ws.gen then cut := (min v w, max v w) :: !cut
+    done
+  done;
+  List.sort compare !cut
+
+let rec settle decide k cut =
+  if k = 0 then (0, cut)
+  else match decide ~k with None -> (k, cut) | Some c -> settle decide (List.length c) c
+
+(* (κ, a minimum vertex cut) for n ≥ 2; the cut is a neighbourhood
+   when κ = δ, so it separates nothing in a complete graph. *)
+let vertex_settle csr =
   let nv = Csr.n csr in
-  let kappa = vertex_connectivity_csr csr in
-  if kappa = 0 || is_complete csr then []
-  else begin
-    let v = min_degree_vertex csr in
-    let sources = v :: Csr.neighbors csr v in
-    let net, v_in, v_out = vertex_split_network_csr csr in
-    (* find an (s,t) pair realising kappa, then cut vertices are the
-       saturated interior arcs crossing the residual cut *)
-    let found = ref [] and done_ = ref false in
-    List.iter
-      (fun s ->
-        if not !done_ then
-          for t = 0 to nv - 1 do
-            if (not !done_) && t <> s && not (Csr.mem_edge csr s t) then begin
-              Maxflow.Net.reset_flow net;
-              if Maxflow.max_flow ~limit:(kappa + 1) net ~s:(v_out s) ~t:(v_in t) = kappa then begin
-                let side = Maxflow.min_cut_side net ~s:(v_out s) in
-                let cut = ref [] in
-                for u = nv - 1 downto 0 do
-                  if side.(v_in u) && not side.(v_out u) then cut := u :: !cut
-                done;
-                found := !cut;
-                done_ := true
-              end
-            end
-          done)
-      sources;
-    !found
-  end
+  let p = prefix_order csr in
+  let ws = vertex_workspace csr in
+  let v = min_degree_vertex csr in
+  settle
+    (fun ~k -> Option.map (fun _ -> vertex_cut ws) (first_failure ws ~nv (vertex_probe csr p ~k)))
+    (Csr.degree csr v) (Csr.neighbors csr v)
+
+let edge_settle csr =
+  let nv = Csr.n csr in
+  let p = prefix_order csr in
+  let rev = reverse_slots p in
+  let ws = edge_workspace p in
+  let v = min_degree_vertex csr in
+  settle
+    (fun ~k -> Option.map (fun _ -> edge_cut p ws) (first_failure ws ~nv (edge_probe p rev ~k)))
+    (Csr.degree csr v)
+    (List.map (fun w -> (min v w, max v w)) (Csr.neighbors csr v))
+
+let vertex_connectivity_csr csr = if Csr.n csr <= 1 then 0 else fst (vertex_settle csr)
+
+let vertex_connectivity g = vertex_connectivity_csr (Csr.of_graph g)
+
+let edge_connectivity_csr csr = if Csr.n csr <= 1 then 0 else fst (edge_settle csr)
+
+let edge_connectivity g = edge_connectivity_csr (Csr.of_graph g)
+
+let min_vertex_cut csr = if is_complete csr then [] else snd (vertex_settle csr)
+
+let min_edge_cut csr = if Csr.n csr <= 1 then [] else snd (edge_settle csr)
+
+(* {2 Witnesses}
+
+   Probes on the identity order, so the hubs are 0 … k−1; the paths
+   are read back off the predecessors. *)
+
+type probe = { pre : prefix; ws : workspace }
+
+let probe csr =
+  let off, adj = flat csr in
+  let id = Array.init (Csr.n csr) Fun.id in
+  { pre = { off; adj; order = id; rank = id }; ws = vertex_workspace csr }
+
+let check_vertex { pre; _ } name v =
+  if v < 0 || v >= Array.length pre.order then invalid_arg (name ^ ": vertex out of range")
+
+(* The path [src; …; v] of the unit that [v] carries, followed by [tail]. *)
+let rec back ws ~src v tail = if v = src then src :: tail else back ws ~src (pred_of ws v) (v :: tail)
+
+let pair_paths pr ~k s t =
+  check_vertex pr "Connectivity.pair_paths" s;
+  check_vertex pr "Connectivity.pair_paths" t;
+  if s = t then invalid_arg "Connectivity.pair_paths: s = t";
+  ignore (vertex_paths pr.pre pr.ws ~k ~src:s ~target:t ~limit:0);
+  List.rev_map (fun x -> back pr.ws ~src:s x [ t ]) pr.ws.ends
+
+let fan_paths pr ~k u =
+  check_vertex pr "Connectivity.fan_paths" u;
+  if u < k then invalid_arg "Connectivity.fan_paths: target among the hubs";
+  ignore (vertex_paths pr.pre pr.ws ~k ~src:u ~target:(-1) ~limit:k);
+  List.filter_map
+    (fun h -> if pred_of pr.ws h < 0 then None else Some (List.rev (back pr.ws ~src:u h [])))
+    (List.init k Fun.id)

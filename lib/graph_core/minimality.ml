@@ -1,64 +1,50 @@
-(* Per-edge criticality checks are independent of one another: each
-   builds its own edge-deleted copy and flow networks, and only reads
-   the shared graph. With [?pool] the edge sweep fans out across
-   domains; the edge order of [non_critical_edges] is preserved by
-   writing verdicts into a slot per edge index. *)
+(* The degree rule settles every edge with an endpoint of degree ≤ k;
+   the rest take one pair probe each. Probes only read the snapshot,
+   so with [?pool] the probed edges fan out across domains, one probe
+   workspace per domain, and [non_critical_edges] keeps edge order by
+   writing verdicts into a slot per edge. *)
+
+(* κ_G(u,v) ≥ k + 1 for an edge uv, i.e. κ ≥ k survives its removal *)
+let spare pr ~k u v =
+  List.compare_length_with (Connectivity.pair_paths pr ~k:(k + 1) u v) (k + 1) >= 0
 
 let edge_is_critical g ~k u v =
   if not (Graph.has_edge g u v) then invalid_arg "Minimality.edge_is_critical: edge absent";
-  let g' = Graph.without_edge g u v in
-  let lambda = Connectivity.local_edge_connectivity ~limit:k g' ~s:u ~t:v in
-  if lambda < k then true
-  else
-    let kappa = Connectivity.local_vertex_connectivity ~limit:k g' ~s:u ~t:v in
-    kappa < k
+  Graph.degree g u <= k
+  || Graph.degree g v <= k
+  || not (spare (Connectivity.probe (Csr.of_graph g)) ~k u v)
 
-let edge_array g =
-  let edges = Array.make (Graph.m g) (0, 0) in
-  let i = ref 0 in
-  Graph.iter_edges g (fun u v ->
-      edges.(!i) <- (u, v);
-      incr i);
-  edges
+(* The non-critical edges, in edge order; with [~first], stop once one
+   is known (the result is then empty iff there are none). *)
+let non_critical ?pool g ~k ~first =
+  let csr = Csr.of_graph g in
+  let probed = ref [] in
+  Csr.iter_edges csr (fun u v ->
+      if Csr.degree csr u > k && Csr.degree csr v > k then probed := (u, v) :: !probed);
+  let edges = Array.of_list (List.rev !probed) in
+  let m = Array.length edges in
+  let bad = Array.make m false in
+  let found = Atomic.make false in
+  let check pr i =
+    if not (first && Atomic.get found) then begin
+      let u, v = edges.(i) in
+      if spare (Lazy.force pr) ~k u v then begin
+        bad.(i) <- true;
+        Atomic.set found true
+      end
+    end
+  in
+  (match pool with
+  | Some p when Par.Pool.size p > 1 && m > 1 ->
+      let probes = Array.init (Par.Pool.size p) (fun _ -> lazy (Connectivity.probe csr)) in
+      Par.Pool.parallel_for ~chunk:1 p ~lo:0 ~hi:m (fun ~worker i -> check probes.(worker) i)
+  | _ ->
+      let pr = lazy (Connectivity.probe csr) in
+      for i = 0 to m - 1 do
+        check pr i
+      done);
+  List.filteri (fun i _ -> bad.(i)) (Array.to_list edges)
 
-let use_pool pool m =
-  match pool with Some p when Par.Pool.size p > 1 && m > 1 -> Some p | _ -> None
+let non_critical_edges ?pool g ~k = non_critical ?pool g ~k ~first:false
 
-let non_critical_edges ?pool g ~k =
-  match use_pool pool (Graph.m g) with
-  | Some p ->
-      let edges = edge_array g in
-      let m = Array.length edges in
-      let bad = Array.make m false in
-      Par.Pool.parallel_for ~chunk:1 p ~lo:0 ~hi:m (fun ~worker:_ i ->
-          let u, v = edges.(i) in
-          if not (edge_is_critical g ~k u v) then bad.(i) <- true);
-      let out = ref [] in
-      for i = m - 1 downto 0 do
-        if bad.(i) then out := edges.(i) :: !out
-      done;
-      !out
-  | None ->
-      let bad = ref [] in
-      Graph.iter_edges g (fun u v ->
-          if not (edge_is_critical g ~k u v) then bad := (u, v) :: !bad);
-      List.rev !bad
-
-let is_link_minimal ?pool g ~k =
-  match use_pool pool (Graph.m g) with
-  | Some p ->
-      let edges = edge_array g in
-      (* One non-critical edge settles the answer; the flag only ever
-         goes false, so the verdict is schedule-independent and late
-         iterations merely skip their flow computations. *)
-      let ok = Atomic.make true in
-      Par.Pool.parallel_for ~chunk:1 p ~lo:0 ~hi:(Array.length edges) (fun ~worker:_ i ->
-          if Atomic.get ok then begin
-            let u, v = edges.(i) in
-            if not (edge_is_critical g ~k u v) then Atomic.set ok false
-          end);
-      Atomic.get ok
-  | None ->
-      let ok = ref true in
-      Graph.iter_edges g (fun u v -> if !ok && not (edge_is_critical g ~k u v) then ok := false);
-      !ok
+let is_link_minimal ?pool g ~k = non_critical ?pool g ~k ~first:true = []

@@ -25,8 +25,8 @@ let diameter_bound ~n ~k =
 let verify ?(check_minimality = true) ?pool g ~k =
   let n = Graph.n g in
   (* One frozen snapshot serves both connectivity decisions and the
-     diameter sweep; only the minimality check (which removes edges one
-     at a time) needs the mutable graph. All four property checks are
+     diameter sweep; the minimality check takes the graph and freezes
+     its own. All four property checks are
      parallel sweeps when a pool is supplied — each runs its own
      parallel section in turn (the pool is not reentrant). *)
   let csr = Graph_core.Csr.of_graph g in

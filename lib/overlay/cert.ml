@@ -1,7 +1,6 @@
 module Graph = Graph_core.Graph
 module Csr = Graph_core.Csr
-module Maxflow = Graph_core.Maxflow
-module Menger = Graph_core.Menger
+module Connectivity = Graph_core.Connectivity
 module Paths = Graph_core.Paths
 module Verify = Lhg_core.Verify
 
@@ -66,64 +65,6 @@ let fan_intact g ~n paths = List.length paths > 0 && List.for_all (path_intact g
 let touches touched paths =
   List.exists (List.exists (fun v -> v >= Array.length touched || touched.(v))) paths
 
-let probe_pair t g ~i ~j = Menger.vertex_disjoint_paths ~limit:t.k g ~s:i ~t:j
-
-(* One vertex-split unit network per certified graph serves every fan
-   probe: in-node 2v, out-node 2v+1, and a super-source 2n with an arc
-   into each hub's in-node. The arcs go in exactly the order
-   [Menger.fan_paths] inserts them, so Dinic finds the same flow and
-   every fan is the same path set; a probe only resets the flow and
-   moves the sink to the target's in-node. *)
-module Fan = struct
-  type t = {
-    net : Maxflow.Net.t;
-    k : int;
-    super : int;
-    succ : int array;  (** node -> its flow successor, rewritten per probe *)
-  }
-
-  let create csr ~k =
-    let n = Csr.n csr in
-    let super = 2 * n in
-    let net =
-      Maxflow.Net.create_sized ~n:(super + 1)
-        ~arc_capacity:(2 * (n + (2 * Csr.m csr) + k))
-    in
-    for v = 0 to n - 1 do
-      Maxflow.Net.add_arc net ~src:(2 * v) ~dst:((2 * v) + 1) ~cap:1
-    done;
-    Csr.iter_edges csr (fun u v ->
-        Maxflow.Net.add_arc net ~src:((2 * u) + 1) ~dst:(2 * v) ~cap:1;
-        Maxflow.Net.add_arc net ~src:((2 * v) + 1) ~dst:(2 * u) ~cap:1);
-    for h = 0 to k - 1 do
-      Maxflow.Net.add_arc net ~src:super ~dst:(2 * h) ~cap:1
-    done;
-    { net; k; super; succ = Array.make (super + 1) (-1) }
-
-  (* Up to k paths, one per hub (in hub order), to [target]. Every node
-     but the super-source carries at most one unit of flow, so following
-     [succ] from a hub's in-node walks that hub's path; the walk only
-     visits nodes whose successor this probe wrote. *)
-  let paths f ~target =
-    Maxflow.Net.reset_flow f.net;
-    let sink = 2 * target in
-    ignore (Maxflow.max_flow ~limit:f.k f.net ~s:f.super ~t:sink);
-    let hubs = ref [] in
-    Maxflow.iter_flow_arcs f.net (fun ~src ~dst ~flow:_ ->
-        if src = f.super then hubs := dst :: !hubs else f.succ.(src) <- dst);
-    let rec walk node acc =
-      if node = sink then List.rev (target :: acc)
-      else walk f.succ.(node) (if node land 1 = 0 then (node / 2) :: acc else acc)
-    in
-    List.rev_map (fun h -> walk h []) !hubs
-end
-
-(* The fan prober of one graph; the network is built on the first
-   probe, so a check that recomputes no fan never builds it. *)
-let fan_prober t csr =
-  let fan = lazy (Fan.create (Lazy.force csr) ~k:t.k) in
-  fun ~target -> Fan.paths (Lazy.force fan) ~target
-
 (* Recompute every certificate from scratch. Succeeds (arming the
    cache) iff every probe yields k paths — by the hub argument below
    this certifies κ(g) ≥ k, which is exactly when a verified graph can
@@ -137,15 +78,15 @@ let rebuild t ~graph:g =
     let fans = Array.make n [] in
     let pairs = Array.make (pair_count t.k) [] in
     let ok = ref true in
+    let pr = Connectivity.probe (Csr.of_graph g) in
     iter_hub_pairs t.k (fun p i j ->
         if !ok then begin
-          let paths = probe_pair t g ~i ~j in
+          let paths = Connectivity.pair_paths pr ~k:t.k i j in
           if List.length paths >= t.k then pairs.(p) <- paths else ok := false
         end);
-    let probe_fan = fan_prober t (lazy (Csr.of_graph g)) in
     let u = ref t.k in
     while !ok && !u < n do
-      let paths = probe_fan ~target:!u in
+      let paths = Connectivity.fan_paths pr ~k:t.k !u in
       if List.length paths >= t.k then fans.(!u) <- paths else ok := false;
       incr u
     done;
@@ -170,7 +111,7 @@ let check t ~graph:g ~removed =
     touched.(v) <- true
   done;
   let csr = lazy (Csr.of_graph g) in
-  let probe_fan = fan_prober t csr in
+  let pr = lazy (Connectivity.probe (Lazy.force csr)) in
   let reused = ref 0 and revalidated = ref 0 and recomputed = ref 0 in
   let conn_ok = ref true in
   let refresh stored recompute =
@@ -194,7 +135,7 @@ let check t ~graph:g ~removed =
   let pairs = Array.make (pair_count t.k) [] in
   iter_hub_pairs t.k (fun p i j ->
       if !conn_ok then
-        match refresh t.pairs.(p) (fun () -> probe_pair t g ~i ~j) with
+        match refresh t.pairs.(p) (fun () -> Connectivity.pair_paths (Lazy.force pr) ~k:t.k i j) with
         | Some paths -> pairs.(p) <- paths
         | None -> conn_ok := false);
   let fans = Array.make (max n 1) [] in
@@ -204,11 +145,11 @@ let check t ~graph:g ~removed =
     (if !u >= n_old then begin
        (* a vertex admitted this epoch: no stored certificate yet *)
        incr recomputed;
-       let paths = probe_fan ~target:!u in
+       let paths = Connectivity.fan_paths (Lazy.force pr) ~k:t.k !u in
        if List.length paths >= t.k then fans.(!u) <- paths else conn_ok := false
      end
      else
-       match refresh stored (fun () -> probe_fan ~target:!u) with
+       match refresh stored (fun () -> Connectivity.fan_paths (Lazy.force pr) ~k:t.k !u) with
        | Some paths -> fans.(!u) <- paths
        | None -> conn_ok := false);
     incr u

@@ -8,13 +8,15 @@
     L = {0..k−1}:
 
     - {b hub pairs} — k internally vertex-disjoint paths between every
-      pair of hub vertices ({!Graph_core.Menger.vertex_disjoint_paths});
+      pair of hub vertices ({!Graph_core.Connectivity.pair_paths});
     - {b fans} — for every vertex u ∉ L, a k-fan: k paths from the k
-      hub vertices to u, pairwise vertex-disjoint except at u. All fan
-      probes of one graph share one vertex-split flow network (frozen
-      from a {!Graph_core.Csr.t}, super-source arcs into the hubs), reset
-      per target; it finds exactly the path sets
-      {!Graph_core.Menger.fan_paths} would.
+      hub vertices to u, pairwise vertex-disjoint except at u
+      ({!Graph_core.Connectivity.fan_paths}).
+
+    Both are the connectivity engine's probes on the identity order,
+    whose first k vertices are the hubs, read back off the probes'
+    predecessors. One probe workspace, over a {!Graph_core.Csr.t}
+    snapshot of the graph, serves every certificate of that graph.
 
     {b Soundness.} If all certificates hold, κ(G) ≥ k. Suppose a cut C
     with |C| ≤ k−1 disconnected G. L ⊄ C, so some hub survives. If two
@@ -37,7 +39,7 @@
     stored witness, so a certificate is dirty iff one of its path
     vertices is an endpoint of a removed edge or a retired id. Dirty
     certificates are first re-walked edge-by-edge (O(path length)); only
-    a failed walk pays a max-flow probe; only a failed probe disarms
+    a failed walk pays a flow probe; only a failed probe disarms
     the cache. *)
 
 type report = {

@@ -3,25 +3,22 @@ open Helpers
 module Graph = Graph_core.Graph
 module Generators = Graph_core.Generators
 module Connectivity = Graph_core.Connectivity
-module Maxflow = Graph_core.Maxflow
 module Paths = Graph_core.Paths
 module Sim = Netsim.Sim
 module Network = Netsim.Network
 module Csr = Graph_core.Csr
 
+(* One exposed probe serves many queries on one snapshot: its flows and
+   marks are generation-stamped, so no query needs a reset. *)
 let test_exposed_flow_networks () =
   let g = petersen () in
-  (* many (s,t) queries over one reusable edge network *)
-  let net = Connectivity.edge_flow_network g in
+  let pr = Connectivity.probe (Graph_core.Csr.of_graph g) in
   List.iter
     (fun (s, t) ->
-      Maxflow.Net.reset_flow net;
-      check_int (Printf.sprintf "lambda(%d,%d)" s t) 3 (Maxflow.max_flow net ~s ~t))
-    [ (0, 7); (1, 8); (2, 6) ];
-  let vnet, v_in, v_out = Connectivity.vertex_split_network g in
-  Maxflow.Net.reset_flow vnet;
-  check_int "kappa(0,7) via split" 3 (Maxflow.max_flow vnet ~s:(v_out 0) ~t:(v_in 7));
-  check_int "node count doubled" 20 (Maxflow.Net.node_count vnet)
+      check_int (Printf.sprintf "kappa(%d,%d)" s t) 3 (List.length (Connectivity.pair_paths pr ~k:10 s t)))
+    [ (0, 7); (1, 8); (2, 6); (0, 1); (0, 7) ];
+  check_int "fan of 7 from hubs 0-2" 3 (List.length (Connectivity.fan_paths pr ~k:3 7));
+  check_int "kappa(0,7) after the fan" 3 (List.length (Connectivity.pair_paths pr ~k:10 0 7))
 
 let test_apl_with_mask () =
   let g = Generators.cycle 6 in

@@ -230,27 +230,44 @@ let test_cert_detects_damage () =
   check_bool "disarmed" false (Cert.armed c);
   check_bool "re-arms on the valid graph" true (Cert.rebuild c ~graph:g)
 
-(* The fan certificates come from one reused flow network per graph;
-   they must be exactly the path sets Menger.fan_paths finds, on every
-   Registry family (and on those that are not k-connected, for the
-   fans stored before the first failed probe). *)
-let prop_cert_fans_match_menger =
-  qcheck ~count:15 "cert fans = Menger.fan_paths on registry families"
+(* The certificate's witnesses are valid on every Registry family:
+   each stored fan is k paths [h; …; u], one from each hub in hub order,
+   over edges of the graph and sharing only u; each hub pair has k
+   internally disjoint paths, read off the same probes Cert reads. The
+   cache arms exactly when the reference κ is at least k. *)
+let prop_cert_witnesses_valid =
+  qcheck ~count:15 "cert witnesses valid: fans and hub pairs, registry families"
     QCheck2.Gen.(triple (int_range 8 30) (int_range 2 4) (int_bound 10_000))
     (fun (n, k, seed) ->
-      let sort = List.sort compare in
       let hubs = List.init k Fun.id in
+      let last p = List.nth p (List.length p - 1) in
       List.for_all
         (fun (_, g) ->
           let c = Cert.create ~k in
-          ignore (Cert.rebuild c ~graph:g);
-          List.for_all
-            (fun u ->
-              match Cert.fan c u with
-              | [] -> not (Cert.armed c)
-              | fan ->
-                  sort fan = sort (Graph_core.Menger.fan_paths ~limit:k g ~sources:hubs ~t:u))
-            (List.init (max 0 (Graph.n g - k)) (fun i -> k + i)))
+          let armed = Cert.rebuild c ~graph:g in
+          let pr = Graph_core.Connectivity.probe (Graph_core.Csr.of_graph g) in
+          let fans_ok =
+            List.for_all
+              (fun u ->
+                match Cert.fan c u with
+                | [] -> not armed
+                | fan ->
+                    List.map List.hd fan = hubs
+                    && List.for_all (fun p -> last p = u && is_path g p) fan
+                    && internally_disjoint fan)
+              (List.init (max 0 (Graph.n g - k)) (fun i -> k + i))
+          in
+          let pairs_ok =
+            (not armed)
+            || List.for_all
+                 (fun (i, j) ->
+                   let paths = Graph_core.Connectivity.pair_paths pr ~k i j in
+                   List.length paths = k
+                   && List.for_all (fun p -> List.hd p = i && last p = j && is_path g p) paths
+                   && internally_disjoint paths)
+                 (List.concat_map (fun i -> List.filter_map (fun j -> if j > i then Some (i, j) else None) hubs) hubs)
+          in
+          fans_ok && pairs_ok && armed = (Graph.n g > k && reference_kappa g >= k))
         (registry_graphs ~n ~k ~seed))
 
 (* Connectivity holds but P4 does not: the classic Harary graph
@@ -321,7 +338,7 @@ let suite =
     Alcotest.test_case "parse trace error" `Quick test_parse_trace_error;
     Alcotest.test_case "lhg-reconfig/2 json" `Quick test_json_schema;
     Alcotest.test_case "cert detects damage" `Quick test_cert_detects_damage;
-    prop_cert_fans_match_menger;
+    prop_cert_witnesses_valid;
     Alcotest.test_case "cert diameter miss stays armed" `Quick test_cert_diameter_miss;
     Alcotest.test_case "harary n=200 not verified" `Quick test_harary_n200_not_verified;
     Alcotest.test_case "churn validation" `Quick test_churn_validation;

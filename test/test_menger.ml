@@ -1,73 +1,57 @@
+(* Menger witnesses from the engine's probes: pair paths and fans. *)
 open Helpers
 module Graph = Graph_core.Graph
-module Menger = Graph_core.Menger
 module Connectivity = Graph_core.Connectivity
+module Csr = Graph_core.Csr
 module Generators = Graph_core.Generators
 module Prng = Graph_core.Prng
+
+let pair_paths ?k g s t =
+  let k = Option.value k ~default:(Graph.n g) in
+  Connectivity.pair_paths (Connectivity.probe (Csr.of_graph g)) ~k s t
 
 let check_paths_valid g paths ~s ~t =
   List.iter
     (fun p ->
-      let rec ok = function
-        | u :: (v :: _ as rest) ->
-            check_bool "edge exists" true (Graph.has_edge g u v);
-            ok rest
-        | [ _ ] | [] -> ()
-      in
       (match p with
       | first :: _ -> check_int "starts at s" s first
       | [] -> Alcotest.fail "empty path");
       check_int "ends at t" t (List.nth p (List.length p - 1));
-      ok p)
-    paths
-
-let test_edge_disjoint_cycle () =
-  let g = Generators.cycle 8 in
-  let paths = Menger.edge_disjoint_paths g ~s:0 ~t:4 in
-  check_int "two paths" 2 (List.length paths);
-  check_paths_valid g paths ~s:0 ~t:4;
-  check_bool "edge disjoint" true (Menger.check_edge_disjoint paths)
-
-let test_edge_disjoint_count_matches_flow () =
-  let g = petersen () in
-  let paths = Menger.edge_disjoint_paths g ~s:0 ~t:7 in
-  check_int "lambda(0,7)" (Connectivity.local_edge_connectivity g ~s:0 ~t:7) (List.length paths);
-  check_bool "disjoint" true (Menger.check_edge_disjoint paths)
+      check_bool "edges exist" true (is_path g p))
+    paths;
+  check_bool "internally disjoint" true (internally_disjoint paths)
 
 let test_vertex_disjoint_petersen () =
   let g = petersen () in
-  let paths = Menger.vertex_disjoint_paths g ~s:0 ~t:7 in
+  let paths = pair_paths g 0 7 in
   check_int "three paths" 3 (List.length paths);
-  check_paths_valid g paths ~s:0 ~t:7;
-  check_bool "internally disjoint" true (Menger.check_internally_disjoint ~s:0 ~t:7 paths)
+  check_paths_valid g paths ~s:0 ~t:7
 
 let test_vertex_disjoint_adjacent () =
   let g = Generators.complete 5 in
-  let paths = Menger.vertex_disjoint_paths g ~s:0 ~t:1 in
+  let paths = pair_paths g 0 1 in
   check_int "K5 adjacent pair" 4 (List.length paths);
   check_bool "direct edge included" true (List.mem [ 0; 1 ] paths);
-  check_bool "internally disjoint" true (Menger.check_internally_disjoint ~s:0 ~t:1 paths)
+  check_paths_valid g paths ~s:0 ~t:1
 
 let test_limit () =
   let g = Generators.complete 6 in
-  let paths = Menger.vertex_disjoint_paths ~limit:2 g ~s:0 ~t:3 in
-  check_int "capped at 2" 2 (List.length paths)
+  check_int "capped at 2" 2 (List.length (pair_paths ~k:2 g 0 3))
 
 let test_bridge () =
   let g = barbell () in
-  let paths = Menger.edge_disjoint_paths g ~s:0 ~t:5 in
+  let paths = pair_paths g 0 5 in
   check_int "single path over bridge" 1 (List.length paths);
   check_paths_valid g paths ~s:0 ~t:5
 
 let test_no_path () =
   let g = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
-  check_int "none" 0 (List.length (Menger.edge_disjoint_paths g ~s:0 ~t:2));
-  check_int "none vertex" 0 (List.length (Menger.vertex_disjoint_paths g ~s:0 ~t:2))
+  check_int "none" 0 (List.length (pair_paths g 0 2))
 
 let test_same_vertex_rejected () =
   let g = Generators.cycle 4 in
-  Alcotest.check_raises "s=t" (Invalid_argument "Menger.edge_disjoint_paths: s = t") (fun () ->
-      ignore (Menger.edge_disjoint_paths g ~s:1 ~t:1))
+  Alcotest.check_raises "s=t" (Invalid_argument "Connectivity.pair_paths: s = t") (fun () ->
+      ignore (pair_paths g 1 1))
 
 let random_connected seed =
   let rngv = Prng.create ~seed in
@@ -79,51 +63,53 @@ let random_connected seed =
   done;
   g
 
-let prop_edge_paths_match_flow_and_are_disjoint =
-  qcheck ~count:80 "edge-disjoint family has flow-many valid disjoint paths"
-    QCheck2.Gen.(int_bound 100_000) (fun seed ->
-      let g = random_connected seed in
-      let n = Graph.n g in
-      let s = 0 and t = n - 1 in
-      let flow = Connectivity.local_edge_connectivity g ~s ~t in
-      let paths = Menger.edge_disjoint_paths g ~s ~t in
-      List.length paths = flow
-      && Menger.check_edge_disjoint paths
-      && List.for_all
-           (fun p ->
-             List.hd p = s
-             && List.nth p (List.length p - 1) = t
-             &&
-             let rec ok = function
-               | u :: (v :: _ as rest) -> Graph.has_edge g u v && ok rest
-               | [ _ ] | [] -> true
-             in
-             ok p)
-           paths)
-
 let prop_vertex_paths_match_kappa =
   qcheck ~count:80 "vertex-disjoint family matches local kappa" QCheck2.Gen.(int_bound 100_000)
     (fun seed ->
       let g = random_connected seed in
       let n = Graph.n g in
       let s = 0 and t = n / 2 in
-      if s = t then true
-      else begin
-        let kappa = Connectivity.local_vertex_connectivity g ~s ~t in
-        let paths = Menger.vertex_disjoint_paths g ~s ~t in
-        List.length paths = kappa && Menger.check_internally_disjoint ~s ~t paths
-      end)
+      let paths = pair_paths g s t in
+      List.length paths = reference_vertex_connectivity g ~s ~t
+      && internally_disjoint paths
+      && List.for_all (fun p -> List.hd p = s && List.nth p (List.length p - 1) = t && is_path g p) paths)
+
+(* A fan to u from the hubs 0 … k−1 exactly when the reference finds k
+   paths from a super-source over the hubs to u; each path runs from
+   its own hub, in hub order, and the paths share only u. *)
+let prop_fans_match_reference =
+  qcheck ~count:80 "fans from the hubs match the reference" QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let g = random_connected seed in
+      let n = Graph.n g in
+      let k = 2 + (seed mod 3) in
+      let pr = Connectivity.probe (Csr.of_graph g) in
+      let super = 2 * n in
+      let net =
+        network ~nodes:(super + 1)
+          (List.init n (fun v -> (2 * v, (2 * v) + 1, 1))
+          @ List.concat_map (fun (u, v) -> [ ((2 * u) + 1, 2 * v, 1); ((2 * v) + 1, 2 * u, 1) ]) (Graph.edges g)
+          @ List.init k (fun h -> (super, 2 * h, 1)))
+      in
+      List.for_all
+        (fun u ->
+          let fan = Connectivity.fan_paths pr ~k u in
+          let hubs = List.map List.hd fan in
+          List.length fan = min k (reference_flow ~limit:k net ~s:super ~t:(2 * u))
+          && hubs = List.sort_uniq compare hubs
+          && List.for_all (fun h -> h < k) hubs
+          && List.for_all (fun p -> List.nth p (List.length p - 1) = u && is_path g p) fan
+          && internally_disjoint fan)
+        (List.init (n - k) (fun i -> k + i)))
 
 let suite =
   [
-    Alcotest.test_case "edge disjoint on cycle" `Quick test_edge_disjoint_cycle;
-    Alcotest.test_case "edge count matches flow" `Quick test_edge_disjoint_count_matches_flow;
     Alcotest.test_case "vertex disjoint petersen" `Quick test_vertex_disjoint_petersen;
     Alcotest.test_case "vertex disjoint adjacent" `Quick test_vertex_disjoint_adjacent;
     Alcotest.test_case "limit" `Quick test_limit;
     Alcotest.test_case "bridge" `Quick test_bridge;
     Alcotest.test_case "no path" `Quick test_no_path;
     Alcotest.test_case "same vertex rejected" `Quick test_same_vertex_rejected;
-    prop_edge_paths_match_flow_and_are_disjoint;
     prop_vertex_paths_match_kappa;
+    prop_fans_match_reference;
   ]
