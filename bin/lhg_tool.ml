@@ -143,12 +143,18 @@ let generate c dot out =
           Buffer.contents buf
         end
       in
-      (match out with
-      | Some path ->
-          Graph_core.Dot.write_file ~path doc;
-          Printf.printf "wrote %s\n" path
-      | None -> print_string doc);
-      0)
+      match out with
+      | Some path -> (
+          match Graph_core.Dot.write_file ~path doc with
+          | () ->
+              Printf.printf "wrote %s\n" path;
+              0
+          | exception Sys_error msg ->
+              prerr_endline ("error: " ^ msg);
+              1)
+      | None ->
+          print_string doc;
+          0)
 
 let generate_cmd =
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz DOT instead of an edge list.") in

@@ -11,4 +11,5 @@ val to_dot :
     colour per vertex. *)
 
 val write_file : path:string -> string -> unit
-(** Write a rendered document to a file. *)
+(** Write a rendered document to a file.
+    @raise Sys_error when the file cannot be created or written. *)

@@ -16,8 +16,7 @@ let edge_is_critical g ~k u v =
 
 (* The non-critical edges, in edge order; with [~first], stop once one
    is known (the result is then empty iff there are none). *)
-let non_critical ?pool g ~k ~first =
-  let csr = Csr.of_graph g in
+let non_critical ?pool csr ~k ~first =
   let probed = ref [] in
   Csr.iter_edges csr (fun u v ->
       if Csr.degree csr u > k && Csr.degree csr v > k then probed := (u, v) :: !probed);
@@ -45,6 +44,8 @@ let non_critical ?pool g ~k ~first =
       done);
   List.filteri (fun i _ -> bad.(i)) (Array.to_list edges)
 
-let non_critical_edges ?pool g ~k = non_critical ?pool g ~k ~first:false
+let non_critical_edges ?pool g ~k = non_critical ?pool (Csr.of_graph g) ~k ~first:false
 
-let is_link_minimal ?pool g ~k = non_critical ?pool g ~k ~first:true = []
+let is_link_minimal_csr ?pool csr ~k = non_critical ?pool csr ~k ~first:true = []
+
+let is_link_minimal ?pool g ~k = is_link_minimal_csr ?pool (Csr.of_graph g) ~k

@@ -28,6 +28,9 @@ val is_link_minimal : ?pool:Par.Pool.t -> Graph.t -> k:int -> bool
 (** Every edge is critical. A degree scan, plus one pair probe per edge
     whose endpoints both have degree above [k]. *)
 
+val is_link_minimal_csr : ?pool:Par.Pool.t -> Csr.t -> k:int -> bool
+(** {!is_link_minimal} over an existing snapshot. *)
+
 val non_critical_edges : ?pool:Par.Pool.t -> Graph.t -> k:int -> (int * int) list
 (** The edges whose removal keeps both connectivities ≥ k — empty iff
     {!is_link_minimal}. Edge order matches {!Graph.iter_edges}

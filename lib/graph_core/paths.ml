@@ -1,6 +1,7 @@
-(* Every aggregate here is a sweep of BFS passes over a fixed topology,
-   so each entry point snapshots the graph to CSR once and reuses one
-   BFS workspace across all sources — zero per-source allocation. With
+(* Every aggregate here is a sweep of BFS passes over a fixed topology
+   (the bound cover at the end is a short run of them), so each entry
+   point snapshots the graph to CSR once and reuses one BFS workspace
+   across all sources — zero per-source allocation. With
    [?pool] the per-source passes fan out across domains (the snapshot
    is immutable, so sharing it is free) with one workspace per domain;
    results are identical to the sequential sweep at any domain count. *)
@@ -14,11 +15,9 @@ let check_mask_csr csr alive =
 let live_fun alive =
   match alive with None -> fun _ -> true | Some a -> fun v -> a.(v)
 
-(* Eccentricity of [src] from a workspace run: max finite distance over
-   live vertices, or None when some live vertex is unreachable. *)
-let ecc_of_run ws ?alive csr ~src =
-  let nv = Csr.n csr in
-  let dist = Bfs.csr_distances_into ws ?alive csr ~src in
+(* Eccentricity from the first [nv] BFS distances: max finite distance
+   over live vertices, or None when some live vertex is unreachable. *)
+let ecc_of_dist ?alive nv dist =
   let live = live_fun alive in
   let ecc = ref 0 and complete = ref true in
   for v = 0 to nv - 1 do
@@ -28,6 +27,9 @@ let ecc_of_run ws ?alive csr ~src =
     end
   done;
   if !complete then Some !ecc else None
+
+let ecc_of_run ws ?alive csr ~src =
+  ecc_of_dist ?alive (Csr.n csr) (Bfs.csr_distances_into ws ?alive csr ~src)
 
 let use_pool pool n =
   match pool with Some p when Par.Pool.size p > 1 && n > 1 -> Some p | _ -> None
@@ -96,19 +98,30 @@ let diameter_csr ?pool ?alive csr = fold_ecc_csr ?pool ?alive csr max
 
 let radius_csr ?pool ?alive csr = fold_ecc_csr ?pool ?alive csr min
 
-(* diameter ≤ 2·ecc(v) for any v, so one BFS from vertex 0 settles
-   most queries either way; only an ambiguous ecc(0) pays the sweep,
-   which stops at the first eccentricity above the bound. *)
+(* The eccentricity-bound cover: ub(w) ≥ ecc(w) holds throughout, by
+   d(w, x) ≤ d(w, v) + d(v, x). A source's own bound becomes its exact
+   eccentricity, so while the largest bound exceeds [bound] it belongs
+   to a vertex not yet searched, and the cover ends within n passes. *)
 let diameter_at_most_csr csr ~bound =
   let nv = Csr.n csr in
   let ws = Bfs.Workspace.create () in
-  let within v = match ecc_of_run ws csr ~src:v with Some e -> e <= bound | None -> false in
-  let rec sweep v = v >= nv || (within v && sweep (v + 1)) in
-  nv > 0
-  &&
-  match ecc_of_run ws csr ~src:0 with
-  | None -> false
-  | Some e0 -> e0 <= bound && ((2 * e0) <= bound || sweep 1)
+  let ub = Array.make nv max_int in
+  let rec cover v =
+    let dist = Bfs.csr_distances_into ws csr ~src:v in
+    match ecc_of_dist nv dist with
+    | None -> false
+    | Some e when e > bound -> false
+    | Some e ->
+        (* tighten every bound and pick the largest, ties to the lowest id *)
+        let next = ref 0 in
+        for w = 0 to nv - 1 do
+          let b = e + dist.(w) in
+          if b < ub.(w) then ub.(w) <- b;
+          if ub.(w) > ub.(!next) then next := w
+        done;
+        ub.(!next) <= bound || cover !next
+  in
+  nv > 0 && cover 0
 
 let diameter ?pool ?alive g = diameter_csr ?pool ?alive (Csr.of_graph g)
 

@@ -1,10 +1,13 @@
-(** Distance aggregates: diameter, radius, average path length.
+(** Distance aggregates: diameter, radius, average path length, and the
+    decision [diameter ≤ bound].
 
     All-pairs quantities run one BFS per vertex — O(n·m). Every entry
     point freezes the graph into one {!Csr.t} snapshot and sweeps it
     with a single reused {!Bfs.Workspace}, so the per-source cost is a
     flat-array BFS with no allocation; callers that already hold a
-    snapshot can use the [_csr] variants to skip the freeze.
+    snapshot can use the [_csr] variants to skip the freeze. The
+    decision {!diameter_at_most_csr} does not sweep: it covers the
+    vertices with eccentricity upper bounds, usually in a few passes.
 
     The sweep entry points also take [?pool]: per-source BFS passes are
     independent reads of the immutable snapshot, so with a
@@ -39,9 +42,26 @@ val diameter_csr : ?pool:Par.Pool.t -> ?alive:bool array -> Csr.t -> int option
 
 val diameter_at_most_csr : Csr.t -> bound:int -> bool
 (** Exact decision [diameter ≤ bound] ([false] when disconnected or
-    empty). One BFS from vertex 0 decides when [2·ecc(0) ≤ bound] or
-    [ecc(0) > bound]; otherwise a sequential eccentricity sweep decides,
-    stopping at the first eccentricity above [bound]. *)
+    empty), by an eccentricity-bound cover. Every vertex w keeps an
+    upper bound ub(w), at first unbounded. BFS from vertex 0; after a
+    BFS from v, set ub(w) ← min(ub(w), ecc(v) + d(v, w)) for every w,
+    and start the next BFS at the vertex with the largest bound, ties
+    to the lowest id. The answer is [false] at the first unreachable
+    vertex or eccentricity above [bound], and [true] once every bound
+    is within it.
+
+    Both answers are exact. d(w, x) ≤ d(w, v) + d(v, x) ≤ d(v, w) +
+    ecc(v) for every x, so ub(w) ≥ ecc(w) throughout, and bounds within
+    [bound] put the diameter there; a [false] names a vertex whose
+    eccentricity is too large. A BFS source's own bound becomes its
+    exact eccentricity, so while the largest bound is above [bound] it
+    belongs to a vertex not yet searched: at most n passes.
+
+    Passes at the verifier's P4 bound on kdiamond, k = 4: 4 at every
+    n from 1026 to 65538 (0.002 s at 16386, one core of a 2-core VM),
+    85 at 131074 and 1,084 at 262146 (5.7 s); 3 at k = 3 and 1 at
+    k = 7 (n = 4098). One pass decides random_regular, kdiamond_rich,
+    and harary past its bound. *)
 
 val radius_csr : ?pool:Par.Pool.t -> ?alive:bool array -> Csr.t -> int option
 

@@ -42,10 +42,6 @@ let write_file ~path g =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string g))
 
 let read_file ~path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string content
+  match In_channel.with_open_bin path In_channel.input_all with
+  | content -> of_string content
+  | exception Sys_error msg -> Error msg

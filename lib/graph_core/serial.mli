@@ -13,3 +13,6 @@ val of_string : string -> (Graph.t, string) result
 val write_file : path:string -> Graph.t -> unit
 
 val read_file : path:string -> (Graph.t, string) result
+(** Read and parse a file; a file that cannot be read (missing, a
+    directory, no permission) is an [Error] too, carrying the system's
+    message. *)

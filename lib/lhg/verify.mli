@@ -8,8 +8,10 @@
       flow decisions of {!Graph_core.Connectivity} — one local probe
       per vertex, each exploring only a small ball around it;
     - P3 link minimality: every edge critical ({!Graph_core.Minimality});
-    - P4 logarithmic diameter: exact BFS diameter against
-      {!diameter_bound}. *)
+    - P4 logarithmic diameter against {!diameter_bound}: the report
+      ({!verify}) carries the exact BFS diameter; the decisions
+      ({!is_lhg}, {!quick}) use the eccentricity-bound cover
+      {!Graph_core.Paths.diameter_at_most_csr}, a few BFS passes. *)
 
 type report = {
   n : int;
@@ -36,27 +38,35 @@ val verify :
     large sweeps. With [?pool] every property check fans its
     independent probes (per-vertex flow probes, per-edge criticality
     tests, per-source BFS) across the pool's domains — the report is
-    identical at any domain count. Without minimality the exact
-    diameter sweep (one BFS per vertex, O(n·m)) is the largest part:
-    at n = 16386, k = 4 it takes about 5.5 of the 6 s that
-    [lhg_tool verify --skip-minimality] needs. *)
+    identical at any domain count. The report keeps the exact diameter,
+    which the CLI prints: a sweep of one BFS per vertex, O(n·m), and
+    nearly all of a run without minimality: [lhg_tool verify
+    --skip-minimality] takes 4.3–5.8 s at n = 16386, k = 4, of which
+    P1 and P2 take 0.2 s. A caller that only needs the verdict should
+    use {!is_lhg}. *)
 
 val verdict : report -> bool
 (** P1 ∧ P2 ∧ P3 ∧ P4 of a report, P3 counting as held when it was
-    skipped — the one predicate behind {!is_lhg} and {!quick}, for
-    callers that already hold the report they print. *)
+    skipped, for callers that already hold the report they print.
+    {!is_lhg} and {!quick} decide the same predicate without the
+    report. *)
 
 val is_lhg : ?check_minimality:bool -> ?pool:Par.Pool.t -> Graph_core.Graph.t -> k:int -> bool
-(** [verdict (verify ...)]: P1 ∧ P2 ∧ P3 ∧ P4. *)
+(** [verdict (verify ...)], decided without the report: P1, P2, P3 when
+    [check_minimality] (default [true]), then P4, over one frozen
+    snapshot, each only when every earlier one held. P4 is the
+    eccentricity-bound cover, so a passing graph costs the two
+    connectivity decisions, the minimality sweep (a degree scan on the
+    LHG families) and a few BFS passes. *)
 
 val quick : ?pool:Par.Pool.t -> Graph_core.Graph.t -> k:int -> bool
-(** P1 ∧ P2 ∧ P4, skipping the (quadratic) minimality sweep — the
-    membership fast path the reconfiguration controller runs on every
-    epoch: is this still a k-connected, logarithmic-diameter overlay?
-    Its cost is the exact diameter sweep (one BFS per vertex) plus the
-    two connectivity decisions, which explore only a small ball per
-    vertex: about 0.03 s at n = 1026, k = 4 on one core of a 2-core VM,
-    most of it the diameter. *)
+(** [is_lhg ~check_minimality:false]: P1 ∧ P2 ∧ P4 — the membership
+    fast path the reconfiguration controller runs on every epoch: is
+    this still a k-connected, logarithmic-diameter overlay? The two
+    connectivity decisions explore only a small ball per vertex and the
+    P4 cover takes 4 BFS passes on kdiamond, so on one core of a 2-core
+    VM it takes about 0.007 s at n = 1026, 0.03 s at 4098 and 0.2 s at
+    16386 (k = 4), nearly all of it P1 and P2. *)
 
 val pp_report : Format.formatter -> report -> unit
 

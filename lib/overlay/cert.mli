@@ -29,11 +29,10 @@
 
     {b Diameter.} P4 is decided separately and exactly, by
     {!Graph_core.Paths.diameter_at_most_csr} against
-    {!Lhg_core.Verify.diameter_bound}: one BFS from vertex 0 settles it
-    when 2·ecc(0) is within the bound (or ecc(0) is not); otherwise an
-    eccentricity sweep decides, stopping at the first eccentricity
-    above the bound. A diameter miss says nothing about connectivity:
-    the refreshed certificates stay armed.
+    {!Lhg_core.Verify.diameter_bound}, the eccentricity-bound cover
+    that {!Lhg_core.Verify.quick} uses too. A diameter miss says
+    nothing about connectivity: the refreshed certificates stay
+    armed.
 
     {b Invalidation rule} ({!check}). Adding edges can never break a
     stored witness, so a certificate is dirty iff one of its path

@@ -19,8 +19,9 @@
 
     Each committed epoch is re-verified in full: P1, P2 and P4 by
     {!Lhg_core.Verify.quick} (over [?pool]) on the committed graph —
-    the two prefix-order connectivity decisions plus the exact
-    diameter sweep, which is most of the cost. With [?chaos], every
+    the two prefix-order connectivity decisions, which are most of
+    the cost, then the eccentricity-bound cover for P4, a few BFS
+    passes. With [?chaos], every
     epoch additionally replays an adversarial fault sweep
     ({!Chaos.Audit}) against the {e new} overlay, showing the k−1
     boundary holds mid-reconfiguration.

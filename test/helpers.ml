@@ -242,3 +242,44 @@ let with_planted_edges rng g count =
     end
   done;
   g
+
+(* {2 Reference diameter}
+
+   One plain queue BFS per vertex over the adjacency sets, sharing
+   nothing with the CSR sweeps or the eccentricity-bound cover. *)
+
+(* ecc(s), or None when some vertex is unreachable from s. *)
+let reference_eccentricity g s =
+  let dist = Array.make (Graph.n g) (-1) in
+  let queue = Queue.create () in
+  dist.(s) <- 0;
+  Queue.add s queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    List.iter
+      (fun v ->
+        if dist.(v) < 0 then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v queue
+        end)
+      (Graph.neighbors g u)
+  done;
+  if Array.exists (fun d -> d < 0) dist then None else Some (Array.fold_left max 0 dist)
+
+(* The exact diameter; None when [g] is empty or disconnected. *)
+let reference_diameter g =
+  let rec go v acc =
+    if v = Graph.n g then acc
+    else
+      match (acc, reference_eccentricity g v) with
+      | Some d, Some e -> go (v + 1) (Some (max d e))
+      | _ -> None
+  in
+  if Graph.n g = 0 then None else go 0 (Some 0)
+
+(* A copy of [g] with a path of [length] new vertices hanging off [at]:
+   at – n – n+1 – … – n+length−1. *)
+let with_pendant_path g ~at ~length =
+  let n = Graph.n g in
+  Graph.of_edges ~n:(n + length)
+    (Graph.edges g @ List.init length (fun i -> ((if i = 0 then at else n + i - 1), n + i)))

@@ -305,6 +305,15 @@ let test_verified_at_n4098 () =
   check_int "two epochs" 2 (List.length epochs);
   List.iter (fun e -> check_bool "verified" true (Controller.epoch_verified e)) epochs
 
+(* Two epochs at n = 16386, each verified: Verify.quick decides P4 by
+   the eccentricity-bound cover, a few BFS passes per epoch. *)
+let test_verified_at_n16386 () =
+  let _, epochs =
+    run_trace ~family:Overlay.Membership.Kdiamond ~k:4 ~n0:16386 ~seed:1 ~steps:16 ~batch:8 ()
+  in
+  check_int "two epochs" 2 (List.length epochs);
+  List.iter (fun e -> check_bool "verified" true (Controller.epoch_verified e)) epochs
+
 (* Satellite bugfix: churn rejects invalid parameters with typed
    errors instead of looping or misbehaving. *)
 let test_churn_validation () =
@@ -343,5 +352,6 @@ let suite =
     Alcotest.test_case "harary n=200 not verified" `Quick test_harary_n200_not_verified;
     Alcotest.test_case "churn validation" `Quick test_churn_validation;
     Alcotest.test_case "verified at n=4098" `Slow test_verified_at_n4098;
+    Alcotest.test_case "verified at n=16386" `Slow test_verified_at_n16386;
     Alcotest.test_case "jd gap refused per request" `Quick test_jd_gap_refused;
   ]

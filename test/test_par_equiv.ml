@@ -198,6 +198,35 @@ let test_default_pool_usable_in_verify () =
   check_bool "is_lhg on default pool" true (Lhg_core.Verify.is_lhg ~pool g ~k:3);
   check_bool "matches sequential" true (Lhg_core.Verify.is_lhg g ~k:3)
 
+(* The decisions equal the report's verdict, with and without P3, on
+   every registry family at a grid of (n, k): as built, with one edge
+   removed, and with a pendant path. *)
+let test_decisions_equal_verdict () =
+  let module Verify = Lhg_core.Verify in
+  List.iter
+    (fun (n, k) ->
+      List.iter
+        (fun (name, g) ->
+          let rng = rng ~salt:(n + k) () in
+          List.iter
+            (fun (damage, g) ->
+              let full = Verify.verdict (Verify.verify g ~k) in
+              let fast = Verify.verdict (Verify.verify ~check_minimality:false g ~k) in
+              List.iter
+                (fun (d, pool) ->
+                  let case what = Printf.sprintf "%s (%d,%d) %s: %s at %d domains" name n k damage what d in
+                  check_bool (case "is_lhg") full (Verify.is_lhg ?pool g ~k);
+                  check_bool (case "is_lhg, no P3") fast (Verify.is_lhg ~check_minimality:false ?pool g ~k);
+                  check_bool (case "quick") fast (Verify.quick ?pool g ~k))
+                (pools ()))
+            [
+              ("intact", g);
+              ("one edge removed", without_random_edges rng g 1);
+              ("pendant path", with_pendant_path g ~at:(Graph_core.Prng.int rng (Graph.n g)) ~length:3);
+            ])
+        (registry_graphs ~n ~k ~seed:n))
+    [ (46, 4); (98, 3); (64, 5); (130, 4) ]
+
 let suite =
   [
     prop_diameter_equiv;
@@ -210,4 +239,5 @@ let suite =
     prop_chaos_audit_equiv;
     Alcotest.test_case "verify report equal" `Quick test_verify_equiv;
     Alcotest.test_case "verify on default pool" `Quick test_default_pool_usable_in_verify;
+    Alcotest.test_case "decisions = verdict of the report" `Quick test_decisions_equal_verdict;
   ]

@@ -1,6 +1,7 @@
 open Helpers
 module Graph = Graph_core.Graph
 module Paths = Graph_core.Paths
+module Csr = Graph_core.Csr
 module Generators = Graph_core.Generators
 
 let test_diameter_path () =
@@ -72,6 +73,59 @@ let prop_radius_diameter_inequality =
       | None, None -> true
       | _ -> false)
 
+(* [diameter_at_most_csr] equals the reference at every bound from −1 to
+   one past the diameter (to n when there is none), on both CSR
+   backends. *)
+let cover_agrees g =
+  let expected = reference_diameter g in
+  let top = match expected with Some d -> d + 1 | None -> Graph.n g in
+  List.for_all
+    (fun big ->
+      let csr = Csr.of_graph ~big g in
+      List.for_all
+        (fun bound ->
+          Paths.diameter_at_most_csr csr ~bound
+          = match expected with Some d -> d <= bound | None -> false)
+        (List.init (top + 2) (fun i -> i - 1)))
+    [ false; true ]
+
+let test_cover_small () =
+  List.iter
+    (fun (name, g) -> check_bool name true (cover_agrees g))
+    [
+      ("n=0", Graph.create ~n:0);
+      ("n=1", Graph.create ~n:1);
+      ("n=2 edge", Graph.of_edges ~n:2 [ (0, 1) ]);
+      ("n=2 no edge", Graph.create ~n:2);
+    ]
+
+let prop_cover_gnp =
+  qcheck ~count:200 "diameter_at_most_csr = reference on G(n,p)"
+    QCheck2.Gen.(triple (int_bound 10_000) (int_bound 40) (float_range 0.02 0.5))
+    (fun (seed, n, p) -> cover_agrees (Generators.gnp (Graph_core.Prng.create ~seed) ~n ~p))
+
+(* Every registry family at a few (n, k), as built and with a pendant
+   path of D + 1 − ecc(a) vertices at a drawn vertex a: its tip is the
+   one path vertex whose eccentricity, D + 1, exceeds the family's
+   diameter D. *)
+let prop_cover_registry =
+  qcheck ~count:12 "diameter_at_most_csr = reference on registry families, intact or with a pendant path"
+    QCheck2.Gen.(pair (oneofl [ (46, 4); (98, 3); (64, 5); (200, 4) ]) (int_bound 10_000))
+    (fun ((n, k), seed) ->
+      let rng = Graph_core.Prng.create ~seed in
+      List.for_all
+        (fun (_, g) ->
+          cover_agrees g
+          &&
+          match reference_diameter g with
+          | None -> true
+          | Some d ->
+              let at = Graph_core.Prng.int rng (Graph.n g) in
+              let ea = Option.get (reference_eccentricity g at) in
+              let g' = with_pendant_path g ~at ~length:(d + 1 - ea) in
+              reference_diameter g' = Some (d + 1) && cover_agrees g')
+        (registry_graphs ~n ~k ~seed))
+
 let suite =
   [
     Alcotest.test_case "diameter path" `Quick test_diameter_path;
@@ -90,4 +144,7 @@ let suite =
     Alcotest.test_case "diameter lower bound" `Quick test_diameter_lower_bound;
     Alcotest.test_case "lower bound disconnected" `Quick test_diameter_lower_bound_disconnected;
     prop_radius_diameter_inequality;
+    Alcotest.test_case "diameter_at_most_csr on n <= 2" `Quick test_cover_small;
+    prop_cover_gnp;
+    prop_cover_registry;
   ]

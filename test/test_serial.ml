@@ -57,6 +57,18 @@ let test_file_roundtrip () =
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
+(* A path that cannot be read is an Error, not a Sys_error: a file
+   removed before the read, and a directory. *)
+let test_unreadable_path () =
+  let path = Filename.temp_file "lhg_serial" ".edges" in
+  Sys.remove path;
+  (match Serial.read_file ~path with
+  | Error msg -> check_bool "missing file named" true (String.starts_with ~prefix:path msg)
+  | Ok _ -> Alcotest.fail "missing file read");
+  match Serial.read_file ~path:(Filename.get_temp_dir_name ()) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "directory read"
+
 let prop_random_roundtrip =
   qcheck ~count:60 "serialisation roundtrips" QCheck2.Gen.(int_bound 100_000) (fun seed ->
       let rngv = Graph_core.Prng.create ~seed in
@@ -82,6 +94,7 @@ let suite =
     Alcotest.test_case "bad edge" `Quick test_bad_edge;
     Alcotest.test_case "empty input" `Quick test_empty_input;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+    Alcotest.test_case "unreadable path" `Quick test_unreadable_path;
     prop_random_roundtrip;
     prop_parser_never_crashes;
   ]
