@@ -133,15 +133,11 @@ let generate c dot out =
           match witness_of c.topology c.n c.k with
           | Some b -> Lhg_core.Viz.to_dot ~name:c.topology b
           | None -> Graph_core.Dot.to_dot ~name:c.topology g
-        else begin
-          let buf = Buffer.create 1024 in
-          Buffer.add_string buf
-            (Printf.sprintf "# %s n=%d m=%d\n" c.topology (Graph_core.Graph.n g)
-               (Graph_core.Graph.m g));
-          Graph_core.Graph.iter_edges g (fun u v ->
-              Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
-          Buffer.contents buf
-        end
+        else
+          (* the comment line, then exactly what [verify --input] reads *)
+          Printf.sprintf "# %s n=%d m=%d\n" c.topology (Graph_core.Graph.n g)
+            (Graph_core.Graph.m g)
+          ^ Graph_core.Serial.to_string g
       in
       match out with
       | Some path -> (

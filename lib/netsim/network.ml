@@ -5,12 +5,13 @@ type latency = Prng.t -> src:int -> dst:int -> float
 
 let constant_latency l = fun _ ~src:_ ~dst:_ -> l
 
+(* [not (x >= bound)] rejects NaN too *)
 let uniform_latency ~lo ~hi =
-  if lo < 0.0 || hi < lo then invalid_arg "Network.uniform_latency";
+  if (not (lo >= 0.0)) || not (hi >= lo) then invalid_arg "Network.uniform_latency";
   fun rng ~src:_ ~dst:_ -> lo +. Prng.float rng (hi -. lo)
 
 let exponential_latency ~mean =
-  if mean <= 1.0 then invalid_arg "Network.exponential_latency: mean must exceed the 1.0 floor";
+  if not (mean > 1.0) then invalid_arg "Network.exponential_latency: mean must exceed the 1.0 floor";
   fun rng ~src:_ ~dst:_ -> 1.0 +. Prng.exponential rng ~mean:(mean -. 1.0)
 
 type queue_policy = Drop_tail | Block
@@ -51,6 +52,7 @@ let max_bands = 4
 
 type t = {
   sim : Sim.t;
+  cell : float array;  (** [Sim.time_cell sim]: computed event times go through it unboxed *)
   csr : Csr.t;  (** topology frozen at creation; every send checks it *)
   latency : latency;
   unit_latency : bool;  (** no model given: constant 1.0 without the closure call *)
@@ -156,7 +158,8 @@ let queue_processing t ~src ~dst ~tag ~payload =
   if Obs.Registry.enabled t.obs then
     Obs.Registry.observe t.h_queue_depth ((start -. now) /. t.processing_delay);
   t.next_free.(dst) <- finish;
-  Sim.schedule_message t.sim ~time:finish ~src ~dst ~tag ~payload
+  Array.unsafe_set t.cell 0 finish;
+  Sim.schedule_message_cell t.sim ~src ~dst ~tag ~payload
 
 let arrive t ~src ~dst payload =
   if t.processing_delay > 0.0 then queue_processing t ~src ~dst ~tag:tag_deliver ~payload
@@ -225,6 +228,7 @@ let create ~sim ~csr ?latency ?(loss_rate = 0.0)
   let t =
     {
       sim;
+      cell = Sim.time_cell sim;
       csr;
       latency = (match latency with Some l -> l | None -> constant_latency 1.0);
       unit_latency = latency = None;
@@ -375,7 +379,7 @@ let[@inline] link_backlog_band t ~band ~eidx ~now =
 
 (* Departure time of the admitted message, or [-1.0] for a drop-tail
    rejection (full queue under [Drop_tail]; [Block] always admits).
-   [@inline] keeps the departure unboxed on its way to the pool. *)
+   [@inline] keeps the departure unboxed on its way to the time cell. *)
 let[@inline] link_admit t ~band ~eidx ~now =
   let backlog = link_backlog_band t ~band ~eidx ~now in
   let slot = (band * t.nslots) + eidx in
@@ -385,7 +389,7 @@ let[@inline] link_admit t ~band ~eidx ~now =
   if backlog >= t.queue_cap && t.queue_policy = Drop_tail then -1.0
   else begin
     if backlog > t.max_backlog then t.max_backlog <- backlog;
-    if t.obs_on then Obs.Registry.observe t.h_link_queue (float_of_int backlog);
+    if t.obs_on then Obs.Registry.observe_int t.h_link_queue backlog;
     (* start behind every equal-or-higher-priority backlog on this link;
        for [bands = 1] the loop reads the one float the old engine read,
        so the arithmetic — and the bytes downstream — are unchanged *)
@@ -453,15 +457,20 @@ let unchecked_send t ~src ~dst ~eidx msg =
         if t.unit_latency then 1.0
         else begin
           let d = t.latency t.rng ~src ~dst in
-          if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
+          if not (d >= 0.0) then
+            invalid_arg
+              (if Float.is_nan d then "Network.send: latency model produced a NaN delay"
+               else "Network.send: latency model produced a negative delay");
           d
         end
       in
       if t.obs_on then Obs.Registry.observe t.h_latency delay;
       let payload = if t.tracing then seq else msg in
       let payload = if t.bands > 1 then (band lsl band_shift) lor payload else payload in
-      if t.cap_on then
-        Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_arrival ~payload
+      if t.cap_on then begin
+        Array.unsafe_set t.cell 0 (depart +. delay);
+        Sim.schedule_message_cell t.sim ~src ~dst ~tag:tag_arrival ~payload
+      end
       else Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_arrival ~payload
     end
   end

@@ -80,8 +80,14 @@
 
     In-flight messages ride {!Sim}'s struct-of-arrays event pool as
     four words, the message itself in the payload word. With tracing
-    off and an [Obs] registry disabled, a steady-state {!send} (or
-    {!send_neighbors_except} fan-out) allocates nothing.
+    off, a steady-state {!send} (or {!send_neighbors_except} fan-out)
+    allocates nothing, with an [Obs] registry disabled or enabled and
+    with or without a link capacity: a computed arrival time (departure
+    plus latency, or the end of a receiver's processing queue) reaches
+    the simulator through {!Sim.time_cell}, not as a boxed argument,
+    and the link backlog is observed as an int. A capacity stream
+    allocates about 0.13 minor words per wire message under dune's dev
+    profile, Obs on or off.
 
     A {!send_neighbors_except} fan-out takes {e one} pooled event for
     all of its messages whenever nothing about a message has to be
@@ -116,10 +122,14 @@ type latency = Graph_core.Prng.t -> src:int -> dst:int -> float
 val constant_latency : float -> latency
 
 val uniform_latency : lo:float -> hi:float -> latency
+(** Uniform on [\[lo, hi)].
+    @raise Invalid_argument unless [0 <= lo <= hi]; a NaN bound fails
+    too. *)
 
 val exponential_latency : mean:float -> latency
 (** 1 + Exp(mean−1): a floor of one time unit plus an exponential tail —
-    a common WAN-ish model that keeps causality (strictly positive). *)
+    a common WAN-ish model that keeps causality (strictly positive).
+    @raise Invalid_argument unless [mean > 1]; a NaN mean fails too. *)
 
 type queue_policy =
   | Drop_tail  (** a full link queue rejects the arrival (counted [dropped_queue]) *)
@@ -198,7 +208,8 @@ val set_receiver : t -> (dst:int -> src:int -> int -> unit) -> unit
 val send : t -> src:int -> dst:int -> int -> unit
 (** Send a message over the edge (src,dst).
     @raise Invalid_argument if no such edge exists, [src] is crashed,
-    or the message is outside [\[0, 2^58)]. The message is silently
+    the message is outside [\[0, 2^58)], or the latency model returns
+    a negative or NaN delay. The message is silently
     dropped (and counted) on link failure, the loss coin, or a
     crashed/crashing destination at delivery time. *)
 

@@ -198,7 +198,10 @@ let histogram t name ~bounds =
         t.rev_histograms <- h :: t.rev_histograms;
         h
 
-let observe h v =
+(* [@inline] keeps [v] unboxed in [observe_int] and [observe_array]:
+   without flambda, passing a float to a call that is not inlined boxes
+   it, even within this module *)
+let[@inline] record h v =
   let b = h.h_bounds in
   let n = Array.length b in
   let idx =
@@ -217,6 +220,16 @@ let observe h v =
   h.h_counts.(idx) <- h.h_counts.(idx) + 1;
   h.h_sum.(0) <- h.h_sum.(0) +. v;
   h.h_total <- h.h_total + 1
+
+let observe h v = record h v
+
+let observe_int h i = record h (float_of_int i)
+
+let observe_array h a ~len =
+  if len < 0 || len > Array.length a then invalid_arg "Registry.observe_array: len outside the array";
+  for i = 0 to len - 1 do
+    record h (Array.unsafe_get a i)
+  done
 
 let histogram_count h = h.h_total
 

@@ -161,8 +161,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
       delays := grown
     end;
     !delays.(!ndelays) <- d;
-    incr ndelays;
-    match h_delay with Some h -> Obs.Registry.observe h d | None -> ()
+    incr ndelays
   in
   let fallbacks = ref 0 and fallback_bursts = ref 0 in
   let epochs_applied = ref 0 in
@@ -427,6 +426,11 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
         end)
   done;
   Sim.run sim;
+  (* the registry takes the delays from the buffer, in delivery order,
+     before the percentile selection below reorders it: the same counts
+     and, addition for addition, the same sum as one observation per
+     delivery *)
+  (match h_delay with Some h -> Obs.Registry.observe_array h !delays ~len:!ndelays | None -> ());
   let duration = Sim.now sim in
   let alive = Network.alive_mask net in
   let chunks_injected = total - !skipped in

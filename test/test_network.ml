@@ -122,6 +122,37 @@ let test_uniform_latency_bounds () =
     check_bool "in bounds" true (l >= 1.0 && l < 3.0)
   done
 
+(* a NaN bound passes any [x < bound] check; the constructors reject it *)
+let test_latency_constructors_reject_nan () =
+  let nan = Float.nan in
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "uniform %g %g" lo hi)
+        (Invalid_argument "Network.uniform_latency")
+        (fun () -> ignore (Network.uniform_latency ~lo ~hi : Network.latency)))
+    [ (nan, 1.0); (0.5, nan); (nan, nan) ];
+  Alcotest.check_raises "exponential nan"
+    (Invalid_argument "Network.exponential_latency: mean must exceed the 1.0 floor") (fun () ->
+      ignore (Network.exponential_latency ~mean:nan : Network.latency))
+
+(* a model that yields NaN is refused at the send, with nothing queued,
+   on the plain and on the capacity path *)
+let test_nan_latency_rejected_at_send () =
+  List.iter
+    (fun link_capacity ->
+      let sim = Sim.create () in
+      let net =
+        Network.create ~sim ~csr:(Csr.of_graph (Generators.cycle 5))
+          ~latency:(fun _ ~src:_ ~dst:_ -> Float.nan)
+          ?link_capacity ()
+      in
+      Alcotest.check_raises "nan delay"
+        (Invalid_argument "Network.send: latency model produced a NaN delay") (fun () ->
+          Network.send net ~src:0 ~dst:1 0);
+      check_int "nothing queued" 0 (Sim.pending sim))
+    [ None; Some 1.0 ]
+
 let test_exponential_latency_floor () =
   let rngv = rng ~salt:1 () in
   let lat = Network.exponential_latency ~mean:3.0 in
@@ -528,4 +559,7 @@ let suite =
     Alcotest.test_case "send checks message range" `Quick test_send_checks_message_range;
     prop_fanout_matches_per_message_sends;
     Alcotest.test_case "fan-out pending peak <= n" `Quick test_fanout_pending_peak;
+    Alcotest.test_case "latency constructors reject NaN" `Quick
+      test_latency_constructors_reject_nan;
+    Alcotest.test_case "NaN latency rejected at send" `Quick test_nan_latency_rejected_at_send;
   ]

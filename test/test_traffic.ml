@@ -334,14 +334,16 @@ let test_driver_allocation () =
     (Printf.sprintf "%.4f minor words per wire message (bound 1)" per_message)
     true (per_message <= 1.0)
 
-(* Allocation pin for the capacity path: a capacity-1 Block stream on
-   kdiamond n = 1026 with Obs off (4 sources x 64 chunks at rate 0.7,
-   about 0.8M wire messages). Link admission is inlined into the send,
-   so the departure time is not boxed on its way out of the link FIFO.
-   What is left, about 2 words, is the time boxed for the call into
-   [Sim.schedule_message], which cannot inline across modules when the
-   build passes -opaque (dune's dev profile). *)
-let test_capacity_stream_allocation () =
+(* Allocation pins for the capacity path: a capacity-1 Block stream on
+   kdiamond n = 1026 (4 sources x 64 chunks at rate 0.7, about 0.8M
+   wire messages), with Obs off and with an enabled registry. Link
+   admission is inlined into the send, and the arrival time goes to the
+   simulator through its float cell, not as an argument, so it is not
+   boxed even where the build passes -opaque (dune's dev profile) and
+   nothing inlines across modules. With Obs on, the link backlog is
+   observed as an int and the delays are observed from their buffer
+   after the run, so recording boxes nothing either. *)
+let capacity_stream_words_per_message obs =
   let spec =
     { Scenario.Spec.default with Scenario.Spec.topology = "kdiamond"; n = 1026; k = 4 }
   in
@@ -352,15 +354,20 @@ let test_capacity_stream_allocation () =
     Workload.default |> Workload.with_source_count 4 |> Workload.with_chunks_per_source 64
     |> Workload.with_rate 0.7
   in
-  let env = env_with ~seed:1 ~capacity:1.0 ~queue_cap:8 ~policy:Network.Block () in
+  let env =
+    env_with ~seed:1 ~capacity:1.0 ~queue_cap:8 ~policy:Network.Block () |> Env.with_obs obs
+  in
   let w0 = Gc.minor_words () in
   let r = Driver.run_csr_env ~env ~csr ~workload () in
   let words = Gc.minor_words () -. w0 in
   check_bool "all covered" true r.Driver.all_covered;
-  let per_message = words /. float_of_int r.Driver.wire_messages in
+  words /. float_of_int r.Driver.wire_messages
+
+let test_capacity_stream_allocation () =
+  let per_message = capacity_stream_words_per_message Obs.Registry.nil in
   check_bool
-    (Printf.sprintf "%.4f minor words per wire message (bound 2.5)" per_message)
-    true (per_message <= 2.5)
+    (Printf.sprintf "%.4f minor words per wire message (bound 1)" per_message)
+    true (per_message <= 1.0)
 
 (* The paper-scale streams of EXPERIMENTS.md B7 and B8: kdiamond and
    the random k-regular configuration model at n = 1026, k = 4, seed 7,
@@ -455,6 +462,61 @@ let test_b8_link_chaos () =
   check_bool "all covered" true r.Driver.all_covered;
   check_bool "fallbacks exercised" true (r.Driver.tree_fallbacks > 0)
 
+let test_capacity_stream_allocation_obs () =
+  let per_message = capacity_stream_words_per_message (Obs.Registry.create ()) in
+  check_bool
+    (Printf.sprintf "%.4f minor words per wire message with Obs on (bound 1)" per_message)
+    true (per_message <= 1.0)
+
+(* The histograms of one small capacity stream (kdiamond n = 258, 4 x 16
+   chunks at rate 0.7, capacity 1, queue cap 8, Block), pinned to the
+   values the simulator gave when every observation was a float passed
+   at the moment it happened: per-bucket counts, totals and sums to the
+   last bit. An integer backlog observed as an int, and delays observed
+   from their buffer after the run, must land in the same buckets and
+   add up in the same order. The delay sum is not an integer, so
+   observing the delays in another order (after the percentile
+   selection has permuted the buffer, say) changes its last bits. *)
+let test_capacity_stream_histograms () =
+  let spec = { Scenario.Spec.default with Scenario.Spec.topology = "kdiamond"; n = 258; k = 4 } in
+  let csr =
+    match Scenario.Spec.csr spec with Ok c -> c | Error e -> Alcotest.failf "csr: %s" e
+  in
+  let obs = Obs.Registry.create () in
+  let env = env_with ~seed:1 ~capacity:1.0 ~queue_cap:8 ~policy:Network.Block () |> Env.with_obs obs in
+  let workload =
+    Workload.default |> Workload.with_source_count 4 |> Workload.with_chunks_per_source 16
+    |> Workload.with_rate 0.7
+  in
+  let r = Driver.run_csr_env ~env ~csr ~workload () in
+  check_int "wire messages" 49_856 r.Driver.wire_messages;
+  check_int "deliveries" 16_448 r.Driver.deliveries;
+  let pin name ~total ~sum ~counts =
+    match Obs.Registry.find_histogram obs name with
+    | None -> Alcotest.failf "%s not registered" name
+    | Some h ->
+        check_int (name ^ " total") total (Obs.Registry.histogram_count h);
+        Alcotest.(check string)
+          (name ^ " sum") sum
+          (Printf.sprintf "%.17g" (Obs.Registry.histogram_sum h));
+        let nonzero = ref [] in
+        Array.iteri
+          (fun i c -> if c > 0 then nonzero := (i, c) :: !nonzero)
+          (Obs.Registry.histogram_counts h);
+        Alcotest.(check (list (pair int int))) (name ^ " counts") counts (List.rev !nonzero)
+  in
+  pin "net.link_queue" ~total:49_856 ~sum:"93410"
+    ~counts:
+      [
+        (0, 23314); (1, 9813); (2, 5197); (3, 3161); (4, 1905); (5, 1300); (6, 1020); (7, 790);
+        (8, 634); (9, 550); (10, 453); (11, 356); (12, 305); (13, 240); (14, 324); (15, 169);
+        (16, 223); (17, 39); (18, 24); (19, 7); (20, 5); (21, 3); (22, 2); (23, 1); (24, 2);
+        (25, 1); (26, 2); (27, 2); (28, 3); (29, 1); (30, 3); (31, 2); (32, 5);
+      ];
+  pin "net.latency" ~total:49_856 ~sum:"49856" ~counts:[ (0, 49856) ];
+  pin "traffic.delay" ~total:16_448 ~sum:"420516.71428572264"
+    ~counts:[ (1, 83); (2, 189); (3, 985); (4, 3277); (5, 6641); (6, 5273) ]
+
 let suite =
   [
     prop_fifo_no_reorder;
@@ -477,4 +539,7 @@ let suite =
     Alcotest.test_case "B8: trees close the p95 gap, n=1026" `Slow test_b8_trees_close_the_gap;
     Alcotest.test_case "B8: 3 links down mid-stream, n=1026" `Slow test_b8_link_chaos;
     Alcotest.test_case "capacity stream allocation" `Quick test_capacity_stream_allocation;
+    Alcotest.test_case "capacity stream allocation, Obs on" `Quick
+      test_capacity_stream_allocation_obs;
+    Alcotest.test_case "capacity stream histograms" `Quick test_capacity_stream_histograms;
   ]
