@@ -84,10 +84,11 @@
     allocates nothing, with an [Obs] registry disabled or enabled and
     with or without a link capacity: a computed arrival time (departure
     plus latency, or the end of a receiver's processing queue) reaches
-    the simulator through {!Sim.time_cell}, not as a boxed argument,
-    and the link backlog is observed as an int. A capacity stream
-    allocates about 0.13 minor words per wire message under dune's dev
-    profile, Obs on or off.
+    the simulator through {!Sim.time_cell}, not as a boxed argument.
+    Nor does a send or a delivery call into [Obs]: the network counts
+    in its own fields and publishes when the run returns (see [?obs]
+    below). A capacity stream allocates about 0.13 minor words per
+    wire message under dune's dev profile, Obs on or off.
 
     A {!send_neighbors_except} fan-out takes {e one} pooled event for
     all of its messages whenever nothing about a message has to be
@@ -123,13 +124,14 @@ val constant_latency : float -> latency
 
 val uniform_latency : lo:float -> hi:float -> latency
 (** Uniform on [\[lo, hi)].
-    @raise Invalid_argument unless [0 <= lo <= hi]; a NaN bound fails
-    too. *)
+    @raise Invalid_argument unless [0 <= lo <= hi < infinity]; a NaN
+    bound fails too. *)
 
 val exponential_latency : mean:float -> latency
 (** 1 + Exp(mean−1): a floor of one time unit plus an exponential tail —
     a common WAN-ish model that keeps causality (strictly positive).
-    @raise Invalid_argument unless [mean > 1]; a NaN mean fails too. *)
+    @raise Invalid_argument unless [1 < mean < infinity]; a NaN mean
+    fails too. *)
 
 type queue_policy =
   | Drop_tail  (** a full link queue rejects the arrival (counted [dropped_queue]) *)
@@ -168,13 +170,25 @@ val create :
     send and terminal outcome is recorded ({!Trace}).
 
     With [?obs] (default {!Obs.Registry.nil}), the network publishes
-    into the registry as it runs: counters [net.sent], [net.delivered]
-    and the three [net.dropped_*] reasons, the [net.latency] histogram
-    of drawn link delays, the [net.queue_depth] histogram of receiver
-    backlog (when [processing_delay > 0]), and
+    into the registry: counters [net.sent], [net.delivered] and the
+    four [net.dropped_*] reasons, the [net.latency] histogram of link
+    delays, the [net.link_queue] histogram (below), the
+    [net.queue_depth] histogram of receiver backlog (when
+    [processing_delay > 0]), and
     [Crash]/[Recover]/[Link_down]/[Link_up]/[Loss_rate] span events for
-    fault injection and healing. A disabled registry costs one branch
-    per record and allocates nothing.
+    fault injection and healing. The counters, the unit-latency
+    delays and the link backlogs are kept in the network's own fields
+    and published when the simulator's run returns (or a handler
+    raises) and after each {!Sim.step}: the network hands {!Sim} its
+    publish function with its message handler, so nothing on the
+    message path calls into [Obs]. A drawn latency (a [?latency]
+    model), a receiver queue depth and a span event are recorded as
+    they happen. Read the registry between runs, not from inside a
+    receiver. A disabled registry costs one branch per record and
+    allocates nothing.
+
+    [?loss_rate] must lie in [\[0, 1)] and [?processing_delay] be
+    finite and non-negative; a NaN fails both.
 
     [?processing_delay] (default 0) models receiver contention: each
     node handles one message per [processing_delay] time units, queueing
@@ -193,9 +207,11 @@ val create :
     [?bands] (default 1) and [?band_weights] configure the strict-
     priority / weighted queueing plane — see the priority-bands section
     above.
-    @raise Invalid_argument if [link_capacity] is not a positive finite
-    rate, [queue_cap < 1], [bands] is outside [\[1, 4\]], or
-    [band_weights] has the wrong length or a non-positive entry. *)
+    @raise Invalid_argument if [loss_rate] is outside [\[0, 1)] or NaN,
+    [processing_delay] is negative, NaN or infinite, [link_capacity] is
+    not a positive finite rate, [queue_cap < 1], [bands] is outside
+    [\[1, 4\]], or [band_weights] has the wrong length or a
+    non-positive entry. *)
 
 val csr : t -> Graph_core.Csr.t
 (** The frozen topology snapshot every send checks against. *)
@@ -209,7 +225,7 @@ val send : t -> src:int -> dst:int -> int -> unit
 (** Send a message over the edge (src,dst).
     @raise Invalid_argument if no such edge exists, [src] is crashed,
     the message is outside [\[0, 2^58)], or the latency model returns
-    a negative or NaN delay. The message is silently
+    a negative, NaN or infinite delay. The message is silently
     dropped (and counted) on link failure, the loss coin, or a
     crashed/crashing destination at delivery time. *)
 
@@ -300,7 +316,7 @@ val set_loss_rate : t -> float -> unit
     already in flight keep the coin they were tossed). Emits a
     [Loss_rate] span event when the value changes; [info] carries the
     new rate in parts per million.
-    @raise Invalid_argument outside [\[0,1)]. *)
+    @raise Invalid_argument outside [\[0,1)] or on a NaN. *)
 
 val stats : t -> stats
 (** Cumulative counters. Under recovery, [dropped_crash] counts only

@@ -153,6 +153,56 @@ let test_nan_latency_rejected_at_send () =
       check_int "nothing queued" 0 (Sim.pending sim))
     [ None; Some 1.0 ]
 
+(* A NaN setting passes any [x < bound] check and then reads as 0 (no
+   loss, no receiver queue); an infinite one sends arrivals to an
+   infinite time. Each is refused where it is given. *)
+let rejects_setting expected f () =
+  Alcotest.check_raises expected (Invalid_argument expected) (fun () -> ignore (f ()))
+
+let cycle5 () = Csr.of_graph (Generators.cycle 5)
+
+let test_nan_loss_rate_rejected =
+  rejects_setting "Network.create: loss_rate outside [0,1)" (fun () ->
+      Network.create ~sim:(Sim.create ()) ~csr:(cycle5 ()) ~loss_rate:Float.nan ())
+
+let test_nan_processing_delay_rejected =
+  rejects_setting "Network.create: processing_delay is NaN or infinite" (fun () ->
+      Network.create ~sim:(Sim.create ()) ~csr:(cycle5 ()) ~processing_delay:Float.nan ())
+
+let test_infinite_processing_delay_rejected =
+  rejects_setting "Network.create: processing_delay is NaN or infinite" (fun () ->
+      Network.create ~sim:(Sim.create ()) ~csr:(cycle5 ()) ~processing_delay:Float.infinity ())
+
+let test_nan_set_loss_rate_rejected () =
+  let _, net = make_net () in
+  rejects_setting "Network.set_loss_rate: loss_rate outside [0,1)"
+    (fun () -> Network.set_loss_rate net Float.nan)
+    ();
+  Alcotest.(check (float 0.0)) "rate unchanged" 0.0 (Network.loss_rate net)
+
+let test_infinite_uniform_latency_rejected =
+  rejects_setting "Network.uniform_latency" (fun () ->
+      Network.uniform_latency ~lo:0.0 ~hi:Float.infinity)
+
+let test_infinite_exponential_latency_rejected =
+  rejects_setting "Network.exponential_latency: infinite mean" (fun () ->
+      Network.exponential_latency ~mean:Float.infinity)
+
+(* a model that yields +infinity is refused at the send like a NaN *)
+let test_infinite_latency_rejected_at_send () =
+  List.iter
+    (fun link_capacity ->
+      let sim = Sim.create () in
+      let net =
+        Network.create ~sim ~csr:(cycle5 ()) ~latency:(Network.constant_latency Float.infinity)
+          ?link_capacity ()
+      in
+      Alcotest.check_raises "infinite delay"
+        (Invalid_argument "Network.send: latency model produced an infinite delay") (fun () ->
+          Network.send net ~src:0 ~dst:1 0);
+      check_int "nothing queued" 0 (Sim.pending sim))
+    [ None; Some 1.0 ]
+
 let test_exponential_latency_floor () =
   let rngv = rng ~salt:1 () in
   let lat = Network.exponential_latency ~mean:3.0 in
@@ -529,6 +579,192 @@ let test_fanout_pending_peak () =
   check_int "covered" n !covered;
   check_bool (Printf.sprintf "peak pending %d <= n = %d" !peak n) true (!peak <= n)
 
+(* -- publishing ----------------------------------------------------------
+
+   The simulator and the network count in their own fields and publish
+   into the registry when a run returns or a step ends. These cases
+   check that the registry ends up where one record per message would
+   have left it, however the run is driven. *)
+
+(* Everything a registry receives from one run, sums to the last bit *)
+let registry_numbers obs =
+  let module R = Obs.Registry in
+  ( List.map (fun c -> (R.counter_name c, R.counter_value c)) (R.counters obs),
+    List.map
+      (fun h ->
+        ( R.histogram_name h,
+          R.histogram_count h,
+          Int64.bits_of_float (R.histogram_sum h),
+          Array.to_list (R.histogram_counts h) ))
+      (R.histograms obs),
+    (R.events_recorded obs, List.map (R.event_kind_count obs) R.all_span_kinds) )
+
+let counter obs name = Obs.Registry.counter_value (Obs.Registry.counter obs name)
+
+(* Four sources flood 12 chunks each over capacity-1 links of a
+   kdiamond n = 66: arrivals wait behind backlogs of up to a few dozen,
+   drop-tail a full queue, lose to the loss coin, land on a node that
+   crashed at t = 3 or cross a link that failed at t = 4. *)
+let capacity_stream ?(policy = Network.Drop_tail) ?(on_delivery = fun _ -> ()) ~obs () =
+  let sim = Sim.create ~seed:11 ~obs () in
+  let csr = Csr.of_graph (Lhg_core.Build.kdiamond_exn ~n:66 ~k:4).Lhg_core.Build.graph in
+  let net =
+    Network.create ~sim ~csr ~link_capacity:1.0 ~queue_cap:6 ~queue_policy:policy ~loss_rate:0.05
+      ~obs ()
+  in
+  let n = Csr.n csr and chunks = 12 in
+  let seen = Array.make (n * 4 * chunks) false and deliveries = ref 0 in
+  let relay ~src ~except msg =
+    if not (Network.is_crashed net src) then Network.send_neighbors_except net ~src ~except msg
+  in
+  Network.set_receiver net (fun ~dst ~src msg ->
+      incr deliveries;
+      on_delivery !deliveries;
+      if not seen.((msg * n) + dst) then begin
+        seen.((msg * n) + dst) <- true;
+        relay ~src:dst ~except:src msg
+      end);
+  for c = 0 to (4 * chunks) - 1 do
+    let origin = 16 * (c mod 4) in
+    Sim.schedule_at sim ~time:(0.25 *. float_of_int c) (fun () ->
+        seen.((c * n) + origin) <- true;
+        relay ~src:origin ~except:(-1) c)
+  done;
+  Sim.schedule_at sim ~time:3.0 (fun () -> Network.crash net 5);
+  Sim.schedule_at sim ~time:4.0 (fun () -> Network.fail_link net 20 (List.hd (Csr.neighbors csr 20)));
+  (sim, net)
+
+let run_whole sim = Sim.run sim
+
+let run_in_slices sim =
+  (* the slices Flood.Reliable and a scenario timeline run in *)
+  let until = ref 0.0 in
+  while Sim.pending sim > 0 do
+    until := !until +. 2.5;
+    Sim.run ~until:!until sim
+  done
+
+let run_by_steps sim = while Sim.step sim do () done
+
+let test_publish_independent_of_driving () =
+  List.iter
+    (fun policy ->
+      let outcome drive =
+        let obs = Obs.Registry.create () in
+        let sim, net = capacity_stream ~policy ~obs () in
+        drive sim;
+        let st = Network.stats net in
+        check_int "net.sent = stats" st.Network.sent (counter obs "net.sent");
+        check_int "net.delivered = stats" st.Network.delivered (counter obs "net.delivered");
+        check_int "sim.events = events processed" (Sim.events_processed sim)
+          (counter obs "sim.events");
+        (Obs.Export.to_json ~recent_events:8 obs, registry_numbers obs, st)
+      in
+      let whole = outcome run_whole in
+      let _, _, st = whole in
+      check_bool "queues, drops and crashes all exercised" true
+        (st.Network.dropped_random > 0 && st.Network.dropped_crash > 0
+        && st.Network.dropped_link > 0
+        && (policy = Network.Block || st.Network.dropped_queue > 0));
+      check_bool "until slices = one run" true (outcome run_in_slices = whole);
+      check_bool "step loop = one run" true (outcome run_by_steps = whole))
+    [ Network.Drop_tail; Network.Block ]
+
+(* A unit-latency flood with one crashed node: every fan-out is one
+   pooled event, published as unit-latency sends. *)
+let fanout_flood ~obs ?(on_delivery = fun _ -> ()) () =
+  let sim = Sim.create ~seed:5 ~obs () in
+  let csr = Csr.of_graph (Lhg_core.Build.kdiamond_exn ~n:130 ~k:4).Lhg_core.Build.graph in
+  let net = Network.create ~sim ~csr ~obs () in
+  Network.crash net 9;
+  let seen = Array.make (Csr.n csr) false and deliveries = ref 0 in
+  Network.set_receiver net (fun ~dst ~src msg ->
+      incr deliveries;
+      on_delivery !deliveries;
+      if not seen.(dst) then begin
+        seen.(dst) <- true;
+        Network.send_neighbors_except net ~src:dst ~except:src (msg + 1)
+      end);
+  seen.(0) <- true;
+  Network.send_neighbors_except net ~src:0 ~except:(-1) 0;
+  (sim, net)
+
+(* The audits' path: each run publishes into a scratch registry that is
+   merged into the total and cleared. The total must equal one registry
+   both runs published into, and the sum of the two runs' stats. *)
+let test_publish_two_networks_add_up () =
+  let direct = Obs.Registry.create () in
+  let sim, flood_net = fanout_flood ~obs:direct () in
+  Sim.run sim;
+  let sim, stream_net = capacity_stream ~obs:direct () in
+  Sim.run sim;
+  let total = Obs.Registry.create () and scratch = Obs.Registry.create () in
+  let sim, _ = fanout_flood ~obs:scratch () in
+  Sim.run sim;
+  Obs.Registry.merge total scratch;
+  Obs.Registry.clear scratch;
+  let sim, _ = capacity_stream ~obs:scratch () in
+  Sim.run sim;
+  Obs.Registry.merge total scratch;
+  check_bool "scratch, merge, clear = one registry" true
+    (registry_numbers total = registry_numbers direct);
+  let a = Network.stats flood_net and b = Network.stats stream_net in
+  check_int "net.sent adds up" (a.Network.sent + b.Network.sent) (counter total "net.sent");
+  check_int "net.delivered adds up"
+    (a.Network.delivered + b.Network.delivered)
+    (counter total "net.delivered");
+  check_int "net.dropped_crash adds up"
+    (a.Network.dropped_crash + b.Network.dropped_crash)
+    (counter total "net.dropped_crash");
+  match Obs.Registry.find_histogram total "net.latency" with
+  | None -> Alcotest.fail "net.latency not registered"
+  | Some h ->
+      (* unit latency: one 1.0 per message that reached the latency step *)
+      let reached (s : Network.stats) =
+        s.Network.sent - s.Network.dropped_link - s.Network.dropped_random - s.Network.dropped_queue
+      in
+      check_int "net.latency count" (reached a + reached b) (Obs.Registry.histogram_count h);
+      Alcotest.(check (float 0.0))
+        "net.latency sum" (float_of_int (reached a + reached b)) (Obs.Registry.histogram_sum h)
+
+(* A receiver that raises ends the run, and the registry keeps what ran
+   before: publishing happens on the way out, from [run] and from
+   [step], on the fan-out path and on the capacity path. *)
+exception Stop
+
+let test_publish_when_receiver_raises () =
+  let check_published obs sim net =
+    let st = Network.stats net in
+    check_int "sim.events" (Sim.events_processed sim) (counter obs "sim.events");
+    check_int "net.sent" st.Network.sent (counter obs "net.sent");
+    check_int "net.delivered" st.Network.delivered (counter obs "net.delivered");
+    check_int "net.dropped_crash" st.Network.dropped_crash (counter obs "net.dropped_crash");
+    check_int "net.dropped_random" st.Network.dropped_random (counter obs "net.dropped_random")
+  in
+  let drives = [ ("run", run_whole); ("step", run_by_steps) ] in
+  let raises_at at i = if i = at then raise Stop in
+  List.iter
+    (fun (name, drive) ->
+      List.iter
+        (fun (path, sim, net, obs, at) ->
+          (match drive sim with
+          | () -> Alcotest.failf "%s, %s path: no exception" name path
+          | exception Stop -> ());
+          check_int
+            (Printf.sprintf "%s, %s path: delivered before the raise" name path)
+            at (Network.stats net).Network.delivered;
+          check_published obs sim net)
+        [
+          (* the 40th delivery raises in the middle of a fan-out *)
+          (let obs = Obs.Registry.create () in
+           let sim, net = fanout_flood ~obs ~on_delivery:(raises_at 40) () in
+           ("fan-out", sim, net, obs, 40));
+          (let obs = Obs.Registry.create () in
+           let sim, net = capacity_stream ~obs ~on_delivery:(raises_at 500) () in
+           ("capacity", sim, net, obs, 500));
+        ])
+    drives
+
 let suite =
   [
     Alcotest.test_case "basic delivery" `Quick test_basic_delivery;
@@ -562,4 +798,21 @@ let suite =
     Alcotest.test_case "latency constructors reject NaN" `Quick
       test_latency_constructors_reject_nan;
     Alcotest.test_case "NaN latency rejected at send" `Quick test_nan_latency_rejected_at_send;
+    Alcotest.test_case "NaN loss rate rejected" `Quick test_nan_loss_rate_rejected;
+    Alcotest.test_case "NaN processing delay rejected" `Quick test_nan_processing_delay_rejected;
+    Alcotest.test_case "infinite processing delay rejected" `Quick
+      test_infinite_processing_delay_rejected;
+    Alcotest.test_case "set_loss_rate NaN rejected" `Quick test_nan_set_loss_rate_rejected;
+    Alcotest.test_case "uniform latency infinite bound rejected" `Quick
+      test_infinite_uniform_latency_rejected;
+    Alcotest.test_case "exponential latency infinite mean rejected" `Quick
+      test_infinite_exponential_latency_rejected;
+    Alcotest.test_case "infinite latency rejected at send" `Quick
+      test_infinite_latency_rejected_at_send;
+    Alcotest.test_case "publish: one run = until slices = step loop" `Quick
+      test_publish_independent_of_driving;
+    Alcotest.test_case "publish: two networks into one registry add up" `Quick
+      test_publish_two_networks_add_up;
+    Alcotest.test_case "publish: a raising receiver keeps what ran" `Quick
+      test_publish_when_receiver_raises;
   ]
