@@ -15,6 +15,17 @@ let escape s =
 (* %g never prints a NaN/inf into the document *)
 let fl f = if Float.is_finite f then Printf.sprintf "%g" f else "0"
 
+(* the fewest significant digits (at most 17) that read back to [f] *)
+let json_float f =
+  if not (Float.is_finite f) then "0"
+  else if Float.is_integer f && Float.abs f < 0x1p53 then Printf.sprintf "%.0f" f
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    shortest 1
+
 let last_events r n =
   if n <= 0 then []
   else
@@ -30,7 +41,7 @@ let to_json ?(recent_events = 0) r =
   in
   add "{\n  \"schema\": \"lhg-obs/1\",\n";
   add (Printf.sprintf "  \"enabled\": %b,\n" (Registry.enabled r));
-  add (Printf.sprintf "  \"virtual_time\": %s,\n" (fl (Registry.now r)));
+  add (Printf.sprintf "  \"virtual_time\": %s,\n" (json_float (Registry.now r)));
   add "  \"counters\": {\n";
   obj_of
     (fun c last ->
@@ -42,7 +53,7 @@ let to_json ?(recent_events = 0) r =
   obj_of
     (fun g last ->
       Printf.sprintf "    \"%s\": %s%s\n" (escape (Registry.gauge_name g))
-        (fl (Registry.gauge_value g))
+        (json_float (Registry.gauge_value g))
         (if last then "" else ","))
     (Registry.gauges r);
   add "  },\n  \"histograms\": {\n";
@@ -52,7 +63,7 @@ let to_json ?(recent_events = 0) r =
       let sum = Registry.histogram_sum h in
       let mean = if count = 0 then 0.0 else sum /. float_of_int count in
       let bounds =
-        Registry.histogram_bounds h |> Array.to_list |> List.map fl |> String.concat ", "
+        Registry.histogram_bounds h |> Array.to_list |> List.map json_float |> String.concat ", "
       in
       let counts =
         Registry.histogram_counts h |> Array.to_list |> List.map string_of_int
@@ -70,10 +81,10 @@ let to_json ?(recent_events = 0) r =
         \      \"bucket_counts\": [%s]\n\
         \    }%s\n"
         (escape (Registry.histogram_name h))
-        count (fl sum) (fl mean)
-        (fl (Registry.percentile h 0.50))
-        (fl (Registry.percentile h 0.95))
-        (fl (Registry.percentile h 0.99))
+        count (json_float sum) (json_float mean)
+        (json_float (Registry.percentile h 0.50))
+        (json_float (Registry.percentile h 0.95))
+        (json_float (Registry.percentile h 0.99))
         bounds counts
         (if last then "" else ","))
     (Registry.histograms r);
@@ -91,7 +102,7 @@ let to_json ?(recent_events = 0) r =
   obj_of
     (fun (e : Registry.event_view) last ->
       Printf.sprintf "      { \"at\": %s, \"kind\": \"%s\", \"node\": %d, \"info\": %d }%s\n"
-        (fl e.Registry.at)
+        (json_float e.Registry.at)
         (Registry.span_kind_name e.Registry.kind)
         e.Registry.node e.Registry.info
         (if last then "" else ","))
