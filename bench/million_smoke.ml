@@ -27,7 +27,7 @@ let () =
   let budget_s = getenv_float "LHG_SMOKE_BUDGET_S" 5.0 in
   let t0 = Unix.gettimeofday () in
   let csr =
-    match Topo.Registry.build_csr_graph ~big:true ~kind ~n ~k ~seed:1 () with
+    match Topo.Registry.build_csr_graph ~kind ~n ~k ~seed:1 () with
     | Ok c -> c
     | Error e ->
         prerr_endline ("million_smoke: " ^ e);
@@ -37,9 +37,8 @@ let () =
   let result = Flood.Flooding.run_csr_env ~env:Flood.Env.default ~csr ~source:0 () in
   let t2 = Unix.gettimeofday () in
   let build_s = t1 -. t0 and flood_s = t2 -. t1 in
-  Printf.printf "million_smoke: %s n=%d k=%d m=%d big=%b\n" kind (Graph_core.Csr.n csr) k
-    (Graph_core.Csr.m csr)
-    (Graph_core.Csr.is_bigarray csr);
+  Printf.printf "million_smoke: %s n=%d k=%d m=%d\n" kind (Graph_core.Csr.n csr) k
+    (Graph_core.Csr.m csr);
   Printf.printf "  build_csr      %.3f s\n" build_s;
   Printf.printf "  async flood    %.3f s  (%d msgs, %d rounds, covered=%b)\n" flood_s
     result.Flood.Flooding.messages_sent result.Flood.Flooding.max_hops

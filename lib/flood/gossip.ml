@@ -27,12 +27,12 @@ let run_env ~env ~csr ~source ~fanout ~ttl () =
   let delivery_time = Array.make n (-1.0) in
   let off = Graph_core.Csr.offsets csr and nbr = Graph_core.Csr.neighbor_array csr in
   let push v ~ttl =
-    let deg = off.(v + 1) - off.(v) in
+    let deg = off.{v + 1} - off.{v} in
     if deg > 0 then begin
       let picks = min fanout deg in
       let chosen = Prng.sample_without_replacement rng ~k:picks ~n:deg in
       (* the message is the remaining TTL *)
-      List.iter (fun i -> Network.send net ~src:v ~dst:nbr.(off.(v) + i) ttl) chosen
+      List.iter (fun i -> Network.send net ~src:v ~dst:nbr.{off.{v} + i} ttl) chosen
     end
   in
   Network.set_receiver net (fun ~dst ~src:_ ttl ->

@@ -127,7 +127,7 @@ let run_env ~env ~csr ~publications ~anti_entropy_period ~duration () =
          let deg = Graph_core.Csr.degree csr v in
          if deg > 0 then begin
            let off = Graph_core.Csr.offsets csr and nbr = Graph_core.Csr.neighbor_array csr in
-           let peer = nbr.(off.(v) + Prng.int rng deg) in
+           let peer = nbr.{off.{v} + Prng.int rng deg} in
            send_digest ~src:v ~dst:peer (digest_of v)
          end);
       Sim.schedule sim ~delay:anti_entropy_period (tick v)

@@ -86,40 +86,11 @@ let csr_run ws ?alive csr ~src =
   let head = ref 0 and tail = ref 1 in
   dist.(src) <- 0;
   queue.(0) <- src;
-  (* the loop is written out once per (storage, mask) combination so the
-     hot path reads its arrays without per-visit dispatch or closures *)
-  (match Csr.storage csr, alive with
-  | Csr.Ints { offsets = off; neighbors = nbr }, None ->
-      while !head < !tail do
-        let u = queue.(!head) in
-        incr head;
-        let du1 = dist.(u) + 1 in
-        for i = off.(u) to off.(u + 1) - 1 do
-          let v = nbr.(i) in
-          if dist.(v) < 0 then begin
-            dist.(v) <- du1;
-            parent.(v) <- u;
-            queue.(!tail) <- v;
-            incr tail
-          end
-        done
-      done
-  | Csr.Ints { offsets = off; neighbors = nbr }, Some a ->
-      while !head < !tail do
-        let u = queue.(!head) in
-        incr head;
-        let du1 = dist.(u) + 1 in
-        for i = off.(u) to off.(u + 1) - 1 do
-          let v = nbr.(i) in
-          if dist.(v) < 0 && a.(v) then begin
-            dist.(v) <- du1;
-            parent.(v) <- u;
-            queue.(!tail) <- v;
-            incr tail
-          end
-        done
-      done
-  | Csr.Big { offsets = off; neighbors = nbr }, None ->
+  let off = Csr.offsets csr and nbr = Csr.neighbor_array csr in
+  (* the loop is written out once per mask case so the hot path reads
+     its arrays without per-visit dispatch or closures *)
+  match alive with
+  | None ->
       while !head < !tail do
         let u = queue.(!head) in
         incr head;
@@ -134,7 +105,7 @@ let csr_run ws ?alive csr ~src =
           end
         done
       done
-  | Csr.Big { offsets = off; neighbors = nbr }, Some a ->
+  | Some a ->
       while !head < !tail do
         let u = queue.(!head) in
         incr head;
@@ -148,7 +119,7 @@ let csr_run ws ?alive csr ~src =
             incr tail
           end
         done
-      done)
+      done
 
 let csr_distances_into ws ?alive csr ~src =
   csr_run ws ?alive csr ~src;

@@ -26,20 +26,13 @@ let is_complete csr =
    ball; and flows and visited marks are generation-stamped, so a
    probe never pays O(n) or O(m) to reset. *)
 
-(* Flat adjacency of a snapshot (a Bigarray snapshot is copied once),
-   plus a vertex order and each vertex's rank in it. *)
-type prefix = { off : int array; adj : int array; order : int array; rank : int array }
-
-let flat csr =
-  match Csr.storage csr with
-  | Csr.Ints { offsets; neighbors } -> (offsets, neighbors)
-  | Csr.Big { offsets; neighbors } ->
-      let ints b = Array.init (Bigarray.Array1.dim b) (Bigarray.Array1.get b) in
-      (ints offsets, ints neighbors)
+(* The snapshot's flat adjacency, plus a vertex order and each
+   vertex's rank in it. *)
+type prefix = { off : Csr.bigints; adj : Csr.bigints; order : int array; rank : int array }
 
 (* BFS order from vertex 0; unreached vertices follow. *)
 let prefix_order csr =
-  let off, adj = flat csr in
+  let off = Csr.offsets csr and adj = Csr.neighbor_array csr in
   let nv = Csr.n csr in
   let order = Array.make nv 0 and rank = Array.make nv (-1) in
   let head = ref 0 and tail = ref 0 in
@@ -54,8 +47,8 @@ let prefix_order csr =
       while !head < !tail do
         let u = order.(!head) in
         incr head;
-        for a = off.(u) to off.(u + 1) - 1 do
-          if rank.(adj.(a)) < 0 then place adj.(a)
+        for a = off.{u} to off.{u + 1} - 1 do
+          if rank.(adj.{a}) < 0 then place adj.{a}
         done
       done
     end
@@ -119,8 +112,8 @@ let vertex_paths p ws ~k ~src ~target ~limit =
   in
   let free_sink w = w = target || (rank.(w) < limit && pred_of w < 0) in
   let found = ref 0 in
-  for a = off.(src) to off.(src + 1) - 1 do
-    let w = adj.(a) in
+  for a = off.{src} to off.{src + 1} - 1 do
+    let w = adj.{a} in
     if !found < k && free_sink w then begin
       set_pred w src;
       if w = target then ws.ends <- [ src ];
@@ -152,9 +145,9 @@ let vertex_paths p ws ~k ~src ~target ~limit =
         (* v_out: back across v's own unit if v carries one, then out
            along every edge (edge arcs are uncapacitated) *)
         if pred_of v >= 0 then visit (x - 1) x;
-        let a = ref off.(v) and stop = off.(v + 1) in
+        let a = ref off.{v} and stop = off.{v + 1} in
         while !hit < 0 && !a < stop do
-          let w = adj.(!a) in
+          let w = adj.{!a} in
           let wi = 2 * w in
           if mark.(wi) <> gen then begin
             if not (free_sink w) then begin
@@ -204,11 +197,11 @@ let vertex_paths p ws ~k ~src ~target ~limit =
    order) comes from w's t-th smallest neighbour: one cursor per row. *)
 let reverse_slots p =
   let nv = Array.length p.order in
-  let rev = Array.make (Array.length p.adj) 0 in
-  let cursor = Array.sub p.off 0 nv in
+  let rev = Array.make (Bigarray.Array1.dim p.adj) 0 in
+  let cursor = Array.init nv (fun v -> p.off.{v}) in
   for u = 0 to nv - 1 do
-    for a = p.off.(u) to p.off.(u + 1) - 1 do
-      let w = p.adj.(a) in
+    for a = p.off.{u} to p.off.{u + 1} - 1 do
+      let w = p.adj.{a} in
       rev.(a) <- cursor.(w);
       cursor.(w) <- cursor.(w) + 1
     done
@@ -235,8 +228,8 @@ let edge_paths p rev ws ~k ~src =
     flow.(r) <- fr - 1
   in
   let found = ref 0 in
-  for a = off.(src) to off.(src + 1) - 1 do
-    if !found < k && rank.(adj.(a)) < limit then begin
+  for a = off.{src} to off.{src + 1} - 1 do
+    if !found < k && rank.(adj.{a}) < limit then begin
       push a;
       incr found
     end
@@ -251,9 +244,9 @@ let edge_paths p rev ws ~k ~src =
     while !hit < 0 && !head < !tail do
       let v = queue.(!head) in
       incr head;
-      let a = ref off.(v) and stop = off.(v + 1) in
+      let a = ref off.{v} and stop = off.{v + 1} in
       while !hit < 0 && !a < stop do
-        let w = adj.(!a) in
+        let w = adj.{!a} in
         if mark.(w) <> gen && flow_of !a <= 0 then begin
           mark.(w) <- gen;
           via.(w) <- !a;
@@ -275,7 +268,7 @@ let edge_paths p rev ws ~k ~src =
       while !w <> src do
         let a = via.(!w) in
         push a;
-        w := adj.(rev.(a))
+        w := adj.{rev.(a)}
       done;
       incr found
     end
@@ -319,7 +312,8 @@ let all_probes ?pool ~nv ~create probe =
 
 let vertex_workspace csr = workspace ~nodes:(2 * Csr.n csr) ~flows:(Csr.n csr)
 
-let edge_workspace p = workspace ~nodes:(Array.length p.order) ~flows:(Array.length p.adj)
+let edge_workspace p =
+  workspace ~nodes:(Array.length p.order) ~flows:(Bigarray.Array1.dim p.adj)
 
 let is_k_edge_connected_csr ?pool csr ~k =
   if k < 0 then invalid_arg "Connectivity.is_k_edge_connected: negative k";
@@ -367,8 +361,8 @@ let edge_cut p ws =
   let cut = ref [] in
   for i = 0 to ws.reached - 1 do
     let v = ws.queue.(i) in
-    for a = p.off.(v) to p.off.(v + 1) - 1 do
-      let w = p.adj.(a) in
+    for a = p.off.{v} to p.off.{v + 1} - 1 do
+      let w = p.adj.{a} in
       if ws.mark.(w) <> ws.gen then cut := (min v w, max v w) :: !cut
     done
   done;
@@ -420,9 +414,9 @@ let min_edge_cut csr = if Csr.n csr <= 1 then [] else snd (edge_settle csr)
 type probe = { pre : prefix; ws : workspace }
 
 let probe csr =
-  let off, adj = flat csr in
   let id = Array.init (Csr.n csr) Fun.id in
-  { pre = { off; adj; order = id; rank = id }; ws = vertex_workspace csr }
+  let pre = { off = Csr.offsets csr; adj = Csr.neighbor_array csr; order = id; rank = id } in
+  { pre; ws = vertex_workspace csr }
 
 let check_vertex { pre; _ } name v =
   if v < 0 || v >= Array.length pre.order then invalid_arg (name ^ ": vertex out of range")

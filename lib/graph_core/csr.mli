@@ -3,36 +3,26 @@
     {!Graph.t} is the mutable build-side representation: adjacency sets
     make edge insertion/removal simple and keep iteration deterministic,
     but every neighbour visit pays O(log d) pointer chasing. A [Csr.t]
-    freezes a graph into two flat arrays — row [offsets] and a
-    concatenated, per-row-sorted [neighbors] stream — so traversals
-    (BFS, flooding, flow-network construction) run over contiguous
-    memory with O(1) neighbour access and zero allocation.
+    freezes a graph into two flat arrays — row {!offsets} and a
+    concatenated, per-row-sorted {!neighbor_array} stream — so
+    traversals (BFS, flooding, flow probes) run over contiguous memory
+    with O(1) neighbour access and zero allocation.
 
-    Two storage backends carry those arrays:
-
-    - [Ints] — plain [int array]s on the OCaml heap, the default;
-    - [Big] — [Bigarray] arrays outside the OCaml heap, so multi-million
-      entry adjacency never inflates major-GC marking work. Pick it with
-      [~big:true] at construction ({!of_graph}, {!Builder.create}).
+    Both arrays are [Bigarray]s outside the OCaml heap, so a
+    multi-million-entry adjacency never adds to major-GC marking work.
 
     A snapshot is a value: it never observes later mutations of the
     source graph. Re-run {!of_graph} after the edge set changes.
-    Neighbour iteration order is ascending, identical to {!Graph}'s,
-    whatever the backend. *)
+    Neighbour iteration order is ascending, identical to {!Graph}'s. *)
 
 type bigints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type storage =
-  | Ints of { offsets : int array; neighbors : int array }
-  | Big of { offsets : bigints; neighbors : bigints }
-      (** Row [v] occupies indices [offsets.(v) .. offsets.(v+1) - 1] of
-          [neighbors] in either backend. {b Do not mutate.} *)
+(** The element kind and layout are public so that a read in another
+    module compiles to an inline load rather than a C call. *)
 
 type t
 
-val of_graph : ?big:bool -> Graph.t -> t
-(** Freeze the current edge set of a graph. O(n + m). [~big] (default
-    false) selects the off-heap Bigarray backend. *)
+val of_graph : Graph.t -> t
+(** Freeze the current edge set of a graph. O(n + m). *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -40,15 +30,8 @@ val n : t -> int
 val m : t -> int
 (** Number of (undirected) edges. *)
 
-val storage : t -> storage
-(** The raw backing arrays, for flat hot loops (BFS, flow construction,
-    benchmarks) that want to specialise per backend. {b Do not
-    mutate.} *)
-
-val is_bigarray : t -> bool
-
 val degree : t -> int -> int
-(** O(1): [offsets.(v+1) - offsets.(v)]. *)
+(** O(1): [offsets.{v+1} - offsets.{v}]. *)
 
 val neighbors : t -> int -> int list
 (** Ascending list of neighbours (allocates; prefer the iterators). *)
@@ -63,24 +46,24 @@ val mem_edge : t -> int -> int -> bool
 
 val edge_index : t -> int -> int -> int
 (** The slot index of the directed edge (u,v) inside the concatenated
-    neighbour stream, or [-1] if absent — O(log d). Every directed edge
-    owns one dense slot in [\[0, degree_sum)], which makes the result
-    the natural key for per-link state (capacities, FIFO queues) kept
-    in flat arrays alongside the snapshot. *)
+    neighbour stream, or [-1] if absent — the same O(log d) search as
+    {!mem_edge}. Every directed edge owns one dense slot in
+    [\[0, degree_sum)], which makes the result the natural key for
+    per-link state (capacities, FIFO queues) kept in flat arrays
+    alongside the snapshot. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Each undirected edge exactly once, as [u < v], lexicographically. *)
 
-val offsets : t -> int array
-(** The raw row-offset array of an [Ints] snapshot, length [n + 1].
-    {b Do not mutate.}
-    @raise Invalid_argument on a Bigarray-backed snapshot — hot loops
-    that must handle both backends match on {!storage} instead. *)
+val offsets : t -> bigints
+(** The raw row-offset array, length [n + 1]: row [v] occupies indices
+    [offsets.{v} .. offsets.{v+1} - 1] of {!neighbor_array}. For flat
+    hot loops (BFS, flow probes, the message plane). {b Do not
+    mutate.} *)
 
-val neighbor_array : t -> int array
-(** The raw concatenated neighbour stream of an [Ints] snapshot, length
-    [2m], each row sorted ascending. {b Do not mutate.}
-    @raise Invalid_argument on a Bigarray-backed snapshot. *)
+val neighbor_array : t -> bigints
+(** The raw concatenated neighbour stream, length [2m], each row sorted
+    ascending. {b Do not mutate.} *)
 
 val degree_sum : t -> int
 (** Sum of degrees = [2 * m]. O(1). *)
@@ -104,9 +87,8 @@ module Builder : sig
 
   type t
 
-  val create : ?big:bool -> n:int -> unit -> t
-  (** A builder for an [n]-vertex graph; [~big] picks the backend of the
-      finished snapshot. *)
+  val create : n:int -> unit -> t
+  (** A builder for an [n]-vertex graph. *)
 
   val count_edge : t -> int -> int -> unit
   (** Phase 1: account one undirected edge (both endpoint degrees). *)

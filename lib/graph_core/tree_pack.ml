@@ -101,16 +101,6 @@ let min_degree csr =
 
 let default_count csr = max 1 (min_degree csr / 2)
 
-(* storage-agnostic row access; packing is a setup cost, not a per-send
-   hot path, so the closure indirection is fine *)
-let row_accessors csr =
-  match Csr.storage csr with
-  | Csr.Ints { offsets; neighbors } ->
-      ((fun v -> offsets.(v)), fun i -> neighbors.(i))
-  | Csr.Big { offsets; neighbors } ->
-      ( (fun v -> Bigarray.Array1.get offsets v),
-        fun i -> Bigarray.Array1.get neighbors i )
-
 (* undirected edge endpoints and the slot→edge-id map — the shared
    setup of [pack] and [patch] *)
 let edge_arrays csr =
@@ -295,7 +285,7 @@ let orient csr ~source ~count ~members ~owner ~eu ~ev =
 let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
   let n = Csr.n csr in
   let m = Array.length eu in
-  let lo, nbr = row_accessors csr in
+  let off = Csr.offsets csr and nbr = Csr.neighbor_array csr in
   let owned = ref owned in
   (* forest [t] keeps vertex [v] at [t * n + v]; until the forests are
      rooted, [comp] is a union-find parent array *)
@@ -356,8 +346,8 @@ let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
       while !head < !tail do
         let u = queue.(!head) in
         incr head;
-        for i = lo u to lo (u + 1) - 1 do
-          let f = und_of_slot.(i) and w = nbr i in
+        for i = off.{u} to off.{u + 1} - 1 do
+          let f = und_of_slot.(i) and w = nbr.{i} in
           if owner.(f) = t && stamp.(base + w) = !pending then begin
             hang_under base w u f;
             queue.(!tail) <- w;
@@ -397,8 +387,8 @@ let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
         while !j < !ndetached do
           let u = detached.(!j) - base in
           incr j;
-          for i = lo u to lo (u + 1) - 1 do
-            let w = nbr i in
+          for i = off.{u} to off.{u + 1} - 1 do
+            let w = nbr.{i} in
             if fpedge.(base + w) = und_of_slot.(i) && stamp.(base + w) < !pending then begin
               stamp.(base + w) <- !pending;
               detached.(!ndetached) <- base + w;
@@ -416,8 +406,8 @@ let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
         if stamp.(x) = !pending then begin
           let t = x / n and v = x mod n in
           let base = t * n in
-          for i = lo v to lo (v + 1) - 1 do
-            let f = und_of_slot.(i) and w = nbr i in
+          for i = off.{v} to off.{v + 1} - 1 do
+            let f = und_of_slot.(i) and w = nbr.{i} in
             if owner.(f) = t && stamp.(base + w) < !pending then hang_under base v w f
           done;
           if stamp.(x) > !pending then hang t v
@@ -530,7 +520,7 @@ let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
 let attempt csr ~source ~count ~eu ~ev ~und_of_slot ~allowed ~members =
   let n = Csr.n csr in
   let m = Array.length eu in
-  let lo, nbr = row_accessors csr in
+  let off = Csr.offsets csr and nbr = Csr.neighbor_array csr in
   let owner = Array.init m (fun e -> if allowed.(e) then -1 else -2) in
   let owned = ref 0 in
   let target = count * (max 0 (members - 1)) in
@@ -580,8 +570,8 @@ let attempt csr ~source ~count ~eu ~ev ~und_of_slot ~allowed ~members =
      first tree's layer-1 sweep would claim them all and starve the
      rest at birth *)
   let deal = ref 0 in
-  for i = lo source to lo (source + 1) - 1 do
-    let v = nbr i in
+  for i = off.{source} to off.{source + 1} - 1 do
+    let v = nbr.{i} in
     let e = und_of_slot.(i) in
     if owner.(e) = -1 && claim_ok source v then begin
       let t = !deal mod count in
@@ -600,8 +590,8 @@ let attempt csr ~source ~count ~eu ~ev ~und_of_slot ~allowed ~members =
         fsize.(t) <- 0;
         for fi = 0 to flen - 1 do
           let u = next.(fi) in
-          for i = lo u to lo (u + 1) - 1 do
-            let v = nbr i in
+          for i = off.{u} to off.{u + 1} - 1 do
+            let v = nbr.{i} in
             let e = und_of_slot.(i) in
             if owner.(e) = -1 && (not visited.(base + v)) && claim_ok u v then do_claim t e u v
           done
@@ -719,7 +709,7 @@ let patch t csr ?member ?usable () =
       Array.fill dirty 0 t.count true;
     if not (Array.exists Fun.id dirty) then Some t
     else begin
-      let lo, nbr = row_accessors csr in
+      let off = Csr.offsets csr and nbr = Csr.neighbor_array csr in
       let reached = Array.make n false in
       let cstamp = Array.make n (-1) in
       let pass_id = ref 0 in
@@ -817,10 +807,10 @@ let patch t csr ?member ?usable () =
                 let ci = ref 0 in
                 while (not !found) && !ci < !csize do
                   let u = comp_nodes.(!ci) in
-                  let i = ref (lo u) in
-                  let hi = lo (u + 1) in
+                  let i = ref off.{u} in
+                  let hi = off.{u + 1} in
                   while (not !found) && !i < hi do
-                    let w = nbr !i in
+                    let w = nbr.{!i} in
                     let e = und_of_slot.(!i) in
                     if owner.(e) = -1 && reached.(w) then begin
                       owner.(e) <- tr;

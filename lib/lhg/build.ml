@@ -154,8 +154,8 @@ let shape_for construction ~n ~k =
 
 let build construction ~n ~k = Result.map of_shape (shape_for construction ~n ~k)
 
-let build_csr ?big construction ~n ~k =
-  Result.map (fun shape -> fst (Realize.realize_csr ?big shape)) (shape_for construction ~n ~k)
+let build_csr construction ~n ~k =
+  Result.map (fun shape -> fst (Realize.realize_csr shape)) (shape_for construction ~n ~k)
 
 let ktree ~n ~k = build Ktree ~n ~k
 
@@ -172,8 +172,8 @@ let get_exn name = function
 let build_exn construction ~n ~k =
   get_exn (construction_name construction) (build construction ~n ~k)
 
-let build_csr_exn ?big construction ~n ~k =
-  get_exn (construction_name construction) (build_csr ?big construction ~n ~k)
+let build_csr_exn construction ~n ~k =
+  get_exn (construction_name construction) (build_csr construction ~n ~k)
 
 let jd_exn ?strict ~n ~k () = get_exn "jd_exn" (jd ?strict ~n ~k ())
 

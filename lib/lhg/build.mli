@@ -50,15 +50,14 @@ val shape_for : construction -> n:int -> k:int -> (Shape.t, error) result
 (** Just the tree shape, unrealised — the shared front half of {!build}
     and {!build_csr}. *)
 
-val build_csr : ?big:bool -> construction -> n:int -> k:int -> (Graph_core.Csr.t, error) result
+val build_csr : construction -> n:int -> k:int -> (Graph_core.Csr.t, error) result
 (** Build the construction straight into a CSR snapshot
     ({!Realize.realize_csr}), never materialising the adjacency-set
     graph: identical vertices, edges and neighbour order to
     [Csr.of_graph (build _).graph], at a fraction of the time and
-    memory. [~big:true] puts the adjacency in off-heap [Bigarray]
-    storage — the million-node configuration. *)
+    memory — the million-node configuration. *)
 
-val build_csr_exn : ?big:bool -> construction -> n:int -> k:int -> Graph_core.Csr.t
+val build_csr_exn : construction -> n:int -> k:int -> Graph_core.Csr.t
 (** @raise Invalid_argument on builder errors. *)
 
 val jd : ?strict:bool -> n:int -> k:int -> unit -> (t, error) result

@@ -57,9 +57,9 @@ let realize shape =
   iter_realized_edges shape layout (Graph.add_edge g);
   (g, layout)
 
-let realize_csr ?big shape =
+let realize_csr shape =
   let layout, nv = layout_of shape in
-  let b = Csr.Builder.create ?big ~n:nv () in
+  let b = Csr.Builder.create ~n:nv () in
   iter_realized_edges shape layout (Csr.Builder.count_edge b);
   Csr.Builder.ready b;
   iter_realized_edges shape layout (Csr.Builder.add_edge b);

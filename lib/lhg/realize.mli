@@ -19,12 +19,12 @@ val vertex_of : layout -> node:int -> copy:int -> int
 val realize : Shape.t -> Graph_core.Graph.t * layout
 (** Build the graph. The vertex count equals {!Shape.vertex_count}. *)
 
-val realize_csr : ?big:bool -> Shape.t -> Graph_core.Csr.t * layout
+val realize_csr : Shape.t -> Graph_core.Csr.t * layout
 (** Realise straight into a CSR snapshot through {!Csr.Builder},
     skipping the adjacency-set graph — same vertices, same edges, same
     ascending neighbour order as [Csr.of_graph (fst (realize shape))],
-    at a fraction of the cost and (with [~big:true]) off the OCaml
-    heap. The construction path for million-node topologies. *)
+    at a fraction of the cost. The construction path for million-node
+    topologies. *)
 
 val shape_node_of_vertex : layout -> n_vertices:int -> int -> int * int
 (** Inverse lookup [(node, copy)] for a graph vertex ([copy] is 0 for

@@ -206,28 +206,16 @@ let arrive t ~src ~dst payload =
   if t.processing_delay > 0.0 then queue_processing t ~src ~dst ~tag:tag_deliver ~payload
   else deliver t ~src ~dst payload
 
-(* CSR row reads for either storage, so each row loop is written once;
-   the storage match is one predictable branch per read *)
-let[@inline] row_start (s : Csr.storage) v =
-  match s with
-  | Csr.Ints { offsets; _ } -> Array.unsafe_get offsets v
-  | Csr.Big { offsets; _ } -> Bigarray.Array1.unsafe_get offsets v
-
-let[@inline] row_entry (s : Csr.storage) i =
-  match s with
-  | Csr.Ints { neighbors; _ } -> Array.unsafe_get neighbors i
-  | Csr.Big { neighbors; _ } -> Bigarray.Array1.unsafe_get neighbors i
-
 (* A fan-out event fires: its messages arrive one by one in row order,
    each with the crash check and receiver queueing of its own event.
    The step counted the first; [Sim.count_message] counts the rest
    just before each runs, so [Sim.events_processed] reads in a
    receiver what it would have read with one event per message. *)
 let expand t ~src ~except payload =
-  let s = Csr.storage t.csr in
+  let off = Csr.offsets t.csr and nbr = Csr.neighbor_array t.csr in
   let first = ref true in
-  for i = row_start s src to row_start s (src + 1) - 1 do
-    let dst = row_entry s i in
+  for i = Bigarray.Array1.unsafe_get off src to Bigarray.Array1.unsafe_get off (src + 1) - 1 do
+    let dst = Bigarray.Array1.unsafe_get nbr i in
     if dst <> except then begin
       if !first then first := false else Sim.count_message t.sim;
       arrive t ~src ~dst payload
@@ -538,16 +526,16 @@ let unchecked_send t ~src ~dst ~eidx msg =
   end
 
 let send t ~src ~dst msg =
-  if not (Csr.mem_edge t.csr src dst) then invalid_arg "Network.send: no such edge";
+  let eidx = Csr.edge_index t.csr src dst in
+  if eidx < 0 then invalid_arg "Network.send: no such edge";
   if t.crashed.(src) then invalid_arg "Network.send: source is crashed";
   if msg < 0 || msg > band_payload_mask then invalid_arg "Network.send: message outside [0, 2^58)";
-  let eidx = if t.cap_on then Csr.edge_index t.csr src dst else -1 in
   unchecked_send t ~src ~dst ~eidx msg
 
 (* Single-edge send with the caller-supplied CSR slot: the
    tree-forwarding hot path, where the packing already carries each
-   parent→child slot so neither the membership check nor the
-   [edge_index] binary search of [send] is paid. *)
+   parent→child slot so the [edge_index] binary search that is
+   [send]'s membership check is not paid. *)
 let send_int t ~src ~dst ~eidx msg =
   if Array.unsafe_get t.crashed src then invalid_arg "Network.send_int: source is crashed";
   unchecked_send t ~src ~dst ~eidx msg
@@ -589,9 +577,9 @@ let send_neighbors_except t ~src ~except msg =
        edge membership check that [send] must do is free here; the
        loop index [i] is the directed edge's CSR slot, the per-link
        queue key *)
-    let s = Csr.storage t.csr in
-    for i = row_start s src to row_start s (src + 1) - 1 do
-      let dst = row_entry s i in
+    let off = Csr.offsets t.csr and nbr = Csr.neighbor_array t.csr in
+    for i = Bigarray.Array1.unsafe_get off src to Bigarray.Array1.unsafe_get off (src + 1) - 1 do
+      let dst = Bigarray.Array1.unsafe_get nbr i in
       if dst <> except then unchecked_send t ~src ~dst ~eidx:i msg
     done
   end

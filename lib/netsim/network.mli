@@ -244,7 +244,7 @@ val send_int : t -> src:int -> dst:int -> eidx:int -> int -> unit
 (** One message over the directed edge whose CSR slot is [eidx] — the
     tree-forwarding hot path, where the caller (a
     {!Graph_core.Tree_pack}) already holds each parent→child slot, so
-    neither [send]'s membership check nor its [edge_index] search is
+    the [edge_index] search that is [send]'s membership check is not
     paid. Same counters, drop decisions and RNG discipline as {!send}.
     [eidx] must be the slot of (src, dst) and the message in range —
     both unchecked.

@@ -38,7 +38,7 @@ let validate t =
 
 let graph t = Topo.Registry.build_graph ~kind:t.topology ~n:t.n ~k:t.k ~seed:t.seed
 
-let csr ?big t = Topo.Registry.build_csr_graph ?big ~kind:t.topology ~n:t.n ~k:t.k ~seed:t.seed ()
+let csr ?big:_ t = Topo.Registry.build_csr_graph ~kind:t.topology ~n:t.n ~k:t.k ~seed:t.seed ()
 
 let construction t =
   Result.bind (entry t) (fun e ->

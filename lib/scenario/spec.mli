@@ -40,7 +40,10 @@ val graph : t -> (Graph_core.Graph.t, string) result
 (** Build the adjacency-set graph through the registry. *)
 
 val csr : ?big:bool -> t -> (Graph_core.Csr.t, string) result
-(** Build the frozen CSR through the registry's uniform [csr] field. *)
+(** Build the frozen CSR through the registry's uniform [csr] field.
+    Every snapshot is off-heap, so [?big] is accepted and ignored; it
+    stays only because the end-to-end benchmark passes [~big:true], and
+    goes at the next benchmark change. *)
 
 val construction : t -> (Lhg_core.Build.construction, string) result
 (** The LHG construction behind [topology], or an error naming the

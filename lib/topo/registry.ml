@@ -8,7 +8,7 @@ type entry = {
   admissible : n:int -> k:int -> bool;
   requirement : string;
   build : n:int -> k:int -> seed:int -> (Graph.t, string) result;
-  csr : big:bool -> n:int -> k:int -> seed:int -> (Csr.t, string) result;
+  csr : n:int -> k:int -> seed:int -> (Csr.t, string) result;
   direct_csr : bool;
   construction : Build.construction option;
 }
@@ -16,8 +16,8 @@ type entry = {
 (* the frozen form of [iter]'s edge set, never materialising an
    adjacency-set graph — the direct path for families whose edges are
    pure arithmetic *)
-let csr_of_edges ~big ~n iter =
-  let b = Csr.Builder.create ~big ~n () in
+let csr_of_edges ~n iter =
+  let b = Csr.Builder.create ~n () in
   iter (Csr.Builder.count_edge b);
   Csr.Builder.ready b;
   iter (Csr.Builder.add_edge b);
@@ -36,8 +36,8 @@ let lhg_entry name doc construction =
         | Ok b -> Ok b.Build.graph
         | Error e -> Error (Build.error_to_string e));
     csr =
-      (fun ~big ~n ~k ~seed:_ ->
-        match Build.build_csr ~big construction ~n ~k with
+      (fun ~n ~k ~seed:_ ->
+        match Build.build_csr construction ~n ~k with
         | Ok csr -> Ok csr
         | Error e -> Error (Build.error_to_string e));
     direct_csr = true;
@@ -51,9 +51,9 @@ let plain_entry name doc ~admissible ~requirement ?edges f =
   let csr =
     match edges with
     | Some iter ->
-        fun ~big ~n ~k ~seed:_ ->
-          if admissible ~n ~k then Ok (csr_of_edges ~big ~n (iter ~n ~k)) else Error requirement
-    | None -> fun ~big ~n ~k ~seed -> Result.map (Csr.of_graph ~big) (build ~n ~k ~seed)
+        fun ~n ~k ~seed:_ ->
+          if admissible ~n ~k then Ok (csr_of_edges ~n (iter ~n ~k)) else Error requirement
+    | None -> fun ~n ~k ~seed -> Result.map Csr.of_graph (build ~n ~k ~seed)
   in
   { name; doc; admissible; requirement; build; csr; direct_csr = edges <> None; construction = None }
 
@@ -113,7 +113,7 @@ let all =
        admissible;
        requirement;
        build;
-       csr = (fun ~big ~n ~k ~seed -> Result.map (Csr.of_graph ~big) (build ~n ~k ~seed));
+       csr = (fun ~n ~k ~seed -> Result.map Csr.of_graph (build ~n ~k ~seed));
        direct_csr = false;
        construction = None;
      });
@@ -142,8 +142,8 @@ let unknown kind =
 let build_graph ~kind ~n ~k ~seed =
   match find kind with None -> unknown kind | Some e -> e.build ~n ~k ~seed
 
-let build_csr_graph ?(big = false) ~kind ~n ~k ~seed () =
-  match find kind with None -> unknown kind | Some e -> e.csr ~big ~n ~k ~seed
+let build_csr_graph ~kind ~n ~k ~seed () =
+  match find kind with None -> unknown kind | Some e -> e.csr ~n ~k ~seed
 
 let witness ~kind ~n ~k =
   match find kind with

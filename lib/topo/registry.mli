@@ -14,14 +14,14 @@ type entry = {
   requirement : string;  (** human-readable admissibility rule *)
   build : n:int -> k:int -> seed:int -> (Graph_core.Graph.t, string) result;
       (** [seed] only matters for randomised families (expander). *)
-  csr : big:bool -> n:int -> k:int -> seed:int -> (Graph_core.Csr.t, string) result;
+  csr : n:int -> k:int -> seed:int -> (Graph_core.Csr.t, string) result;
       (** CSR builder — total on every entry. Families whose edges are
           pure arithmetic (the LHG constructions, cycle, complete,
           hypercube) realise straight into CSR; the rest go through
           [build] and freeze. Callers never need to case-split again. *)
   direct_csr : bool;
       (** Whether [csr] avoids the adjacency-set intermediate — the
-          entries safe to take to off-heap scale ([~big:true]). *)
+          entries safe to take to million-node scale. *)
   construction : Lhg_core.Build.construction option;
       (** The LHG construction behind this entry, when there is one —
           gateway to witnesses, routes and shape inspection. *)
@@ -40,7 +40,6 @@ val build_graph :
     inadmissible parameters report the entry's requirement. *)
 
 val build_csr_graph :
-  ?big:bool ->
   kind:string ->
   n:int ->
   k:int ->
@@ -48,8 +47,7 @@ val build_csr_graph :
   unit ->
   (Graph_core.Csr.t, string) result
 (** Look up and build a CSR snapshot in one step via the entry's [csr]
-    field. [~big] (default false) selects off-heap Bigarray
-    adjacency. *)
+    field. *)
 
 val witness : kind:string -> n:int -> k:int -> Lhg_core.Build.t option
 (** The structural witness, for entries backed by an LHG construction

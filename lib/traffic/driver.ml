@@ -306,18 +306,11 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
         (* push gossip at the snapshot's min-degree fanout with the
            standard log2(n)+4 TTL: the randomized baseline, one int per
            message like the others (chunk * (ttl_limit+1) + ttl) *)
-        let lo, nbr =
-          match Csr.storage csr with
-          | Csr.Ints { offsets; neighbors } ->
-              ((fun v -> offsets.(v)), fun i -> neighbors.(i))
-          | Csr.Big { offsets; neighbors } ->
-              ( (fun v -> Bigarray.Array1.get offsets v),
-                fun i -> Bigarray.Array1.get neighbors i )
-        in
+        let off = Csr.offsets csr and nbr = Csr.neighbor_array csr in
         let fanout =
           let md = ref max_int in
           for v = 0 to n - 1 do
-            let d = lo (v + 1) - lo v in
+            let d = off.{v + 1} - off.{v} in
             if d < !md then md := d
           done;
           max 1 !md
@@ -326,14 +319,14 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
         let base = ttl_limit + 1 in
         let rng = Sim.fork_rng sim in
         let push_gossip v ~chunk ~ttl =
-          let deg = lo (v + 1) - lo v in
+          let deg = off.{v + 1} - off.{v} in
           if deg > 0 then begin
             let picks = min fanout deg in
             let chosen = Prng.sample_without_replacement rng ~k:picks ~n:deg in
             List.iter
               (fun i ->
-                let e = lo v + i in
-                Network.send_int net ~src:v ~dst:(nbr e) ~eidx:e ((chunk * base) + ttl))
+                let e = off.{v} + i in
+                Network.send_int net ~src:v ~dst:nbr.{e} ~eidx:e ((chunk * base) + ttl))
               chosen
           end
         in

@@ -162,7 +162,7 @@ let prop_decision_agrees_with_exact =
       done;
       !ok)
 
-(* The engine against the reference flow, on both CSR backends: the
+(* The engine against the reference flow: the
    decisions are true at k = κ (λ) and false at κ + 1 (λ + 1), the
    exact values equal the reference, and each minimum cut has that
    size and disconnects the graph (no vertex cut when complete or
@@ -171,19 +171,17 @@ let decisions_match_exact g =
   let kappa = reference_kappa g in
   let lambda = reference_lambda g in
   let n = Graph.n g in
-  List.for_all
-    (fun csr ->
-      let vc = Connectivity.min_vertex_cut csr and ec = Connectivity.min_edge_cut csr in
-      Connectivity.is_k_vertex_connected_csr csr ~k:kappa
-      && (not (Connectivity.is_k_vertex_connected_csr csr ~k:(kappa + 1)))
-      && Connectivity.is_k_edge_connected_csr csr ~k:lambda
-      && (not (Connectivity.is_k_edge_connected_csr csr ~k:(lambda + 1)))
-      && Connectivity.vertex_connectivity_csr csr = kappa
-      && Connectivity.edge_connectivity_csr csr = lambda
-      && (if kappa = 0 || kappa = n - 1 then vc = []
-          else List.length vc = kappa && vertices_disconnect g vc)
-      && if lambda = 0 then ec = [] else List.length ec = lambda && edges_disconnect g ec)
-    [ Csr.of_graph g; Csr.of_graph ~big:true g ]
+  let csr = Csr.of_graph g in
+  let vc = Connectivity.min_vertex_cut csr and ec = Connectivity.min_edge_cut csr in
+  Connectivity.is_k_vertex_connected_csr csr ~k:kappa
+  && (not (Connectivity.is_k_vertex_connected_csr csr ~k:(kappa + 1)))
+  && Connectivity.is_k_edge_connected_csr csr ~k:lambda
+  && (not (Connectivity.is_k_edge_connected_csr csr ~k:(lambda + 1)))
+  && Connectivity.vertex_connectivity_csr csr = kappa
+  && Connectivity.edge_connectivity_csr csr = lambda
+  && (if kappa = 0 || kappa = n - 1 then vc = []
+      else List.length vc = kappa && vertices_disconnect g vc)
+  && if lambda = 0 then ec = [] else List.length ec = lambda && edges_disconnect g ec
 
 let prop_decision_matches_exact_gnp =
   qcheck ~count:150 "decisions = exact values at kappa, kappa+1 (gnp, n <= 40)"

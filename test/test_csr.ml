@@ -109,27 +109,25 @@ let prop_workspace_reuse =
           Array.for_all (fun v -> d.(v) = expect.(v)) (Array.init nv Fun.id))
         sizes)
 
-(* The Bigarray backend past 2^17 nodes, built straight from the LHG
-   shape with no Set-backed intermediate — the million-node path, sized
-   down to stay test-suite friendly. Both backends must agree row for
-   row. *)
-let test_big_backend_large () =
+(* Past 2^17 nodes, built straight from the LHG shape with no
+   Set-backed intermediate — the million-node path, sized down to stay
+   test-suite friendly. It must agree row for row with the frozen
+   Set-backed build. *)
+let test_direct_build_large () =
   let n = 131_074 and k = 4 in
-  let big = Lhg_core.Build.build_csr_exn ~big:true Lhg_core.Build.Kdiamond ~n ~k in
-  let small = Lhg_core.Build.build_csr_exn Lhg_core.Build.Kdiamond ~n ~k in
-  check_bool "big backend" true (Csr.is_bigarray big);
-  check_bool "ints backend" false (Csr.is_bigarray small);
-  check_int "same n" (Csr.n small) (Csr.n big);
-  check_int "same m" (Csr.m small) (Csr.m big);
-  check_int "degree sum" (2 * Csr.m big) (Csr.degree_sum big);
+  let direct = Lhg_core.Build.build_csr_exn Lhg_core.Build.Kdiamond ~n ~k in
+  let frozen = Csr.of_graph (Lhg_core.Build.build_exn Lhg_core.Build.Kdiamond ~n ~k).graph in
+  check_int "same n" (Csr.n frozen) (Csr.n direct);
+  check_int "same m" (Csr.m frozen) (Csr.m direct);
+  check_int "degree sum" (2 * Csr.m direct) (Csr.degree_sum direct);
   let rows_equal = ref true in
-  for v = 0 to Csr.n big - 1 do
-    if Csr.neighbors big v <> Csr.neighbors small v then rows_equal := false
+  for v = 0 to Csr.n direct - 1 do
+    if Csr.neighbors direct v <> Csr.neighbors frozen v then rows_equal := false
   done;
   check_bool "identical rows" true !rows_equal;
-  let d = Bfs.csr_distances big ~src:0 in
+  let d = Bfs.csr_distances direct ~src:0 in
   check_bool "connected" true (Array.for_all (fun x -> x >= 0) d);
-  Alcotest.(check (array int)) "BFS agrees across backends" (Bfs.csr_distances small ~src:0) d
+  Alcotest.(check (array int)) "BFS agrees" (Bfs.csr_distances frozen ~src:0) d
 
 let suite =
   [
@@ -143,5 +141,5 @@ let suite =
     prop_bfs_distances_agree_masked;
     prop_bfs_parents_agree;
     prop_workspace_reuse;
-    Alcotest.test_case "big backend at 131k nodes" `Slow test_big_backend_large;
+    Alcotest.test_case "direct build at 131k nodes" `Slow test_direct_build_large;
   ]

@@ -118,36 +118,28 @@ let test_build_construction_dispatch () =
 (* the uniform [csr] field: every entry's snapshot is the frozen form
    of the adjacency-set graph it fronts, slot for slot — same row
    offsets, same neighbour order — whether or not the entry takes the
-   [direct_csr] shortcut past the intermediate Graph.t, and on both
-   storage backends where the shortcut exists. The simulators read only
-   the registry's snapshot, and their tie order follows its rows. *)
+   [direct_csr] shortcut past the intermediate Graph.t. The simulators
+   read only the registry's snapshot, and their tie order follows its
+   rows. *)
 let rows c =
   let module Csr = Graph_core.Csr in
-  let n = Csr.n c and slots = Csr.degree_sum c in
-  match Csr.storage c with
-  | Csr.Ints { offsets; neighbors } -> (Array.sub offsets 0 (n + 1), Array.sub neighbors 0 slots)
-  | Csr.Big { offsets; neighbors } ->
-      (Array.init (n + 1) (Bigarray.Array1.get offsets), Array.init slots (Bigarray.Array1.get neighbors))
+  let off = Csr.offsets c and nbr = Csr.neighbor_array c in
+  (Array.init (Csr.n c + 1) (fun v -> off.{v}), Array.init (Csr.degree_sum c) (fun i -> nbr.{i}))
 
 let test_csr_equals_build () =
   List.iter
     (fun e ->
       List.iter
         (fun (n, k) ->
-          let label big = Printf.sprintf "%s n=%d k=%d big=%b" e.R.name n k big in
-          let bigs = if e.R.direct_csr then [ false; true ] else [ false ] in
-          List.iter
-            (fun big ->
-              match (e.R.build ~n ~k ~seed:7, e.R.csr ~big ~n ~k ~seed:7) with
-              | Ok g, Ok c ->
-                  let off, nbr = rows (Graph_core.Csr.of_graph g) and off', nbr' = rows c in
-                  Alcotest.(check (array int)) (label big ^ ": offsets") off off';
-                  Alcotest.(check (array int)) (label big ^ ": neighbours") nbr nbr';
-                  Alcotest.(check bool) (label big ^ ": backend") big (Graph_core.Csr.is_bigarray c)
-              | Error a, Error b -> Alcotest.(check string) (label big ^ ": same error") a b
-              | Ok _, Error b -> Alcotest.failf "%s: graph built but csr failed: %s" (label big) b
-              | Error a, Ok _ -> Alcotest.failf "%s: csr built but graph failed: %s" (label big) a)
-            bigs)
+          let label = Printf.sprintf "%s n=%d k=%d" e.R.name n k in
+          match (e.R.build ~n ~k ~seed:7, e.R.csr ~n ~k ~seed:7) with
+          | Ok g, Ok c ->
+              let off, nbr = rows (Graph_core.Csr.of_graph g) and off', nbr' = rows c in
+              Alcotest.(check (array int)) (label ^ ": offsets") off off';
+              Alcotest.(check (array int)) (label ^ ": neighbours") nbr nbr'
+          | Error a, Error b -> Alcotest.(check string) (label ^ ": same error") a b
+          | Ok _, Error b -> Alcotest.failf "%s: graph built but csr failed: %s" label b
+          | Error a, Ok _ -> Alcotest.failf "%s: csr built but graph failed: %s" label a)
         [ (14, 3); (16, 4); (46, 4); (47, 4); (64, 5); (9, 2) ])
     R.all
 
