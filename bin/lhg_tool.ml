@@ -514,15 +514,7 @@ let metrics_run (c : common) protocol format =
             ignore (Flood.Pif.run_env ~env:(Spec.to_env ~obs c) ~csr ~source:0 ());
             true
         | `Churn -> (
-            let family =
-              match c.topology with
-              | "ktree" -> Some Overlay.Membership.Ktree
-              | "kdiamond" | "kdiamond_rich" -> Some Overlay.Membership.Kdiamond
-              | "jd" -> Some Overlay.Membership.Jd
-              | "harary" -> Some Overlay.Membership.Harary_classic
-              | _ -> None
-            in
-            match family with
+            match Scenario.family_of_topology c.topology with
             | None ->
                 prerr_endline "error: churn metrics support kinds ktree, kdiamond, jd, harary";
                 false
@@ -895,11 +887,7 @@ let controller_cmd =
 
 let traffic (c : common) (tc : Scenario.traffic) =
   let workload = tc.Scenario.workload in
-  match
-    match tc.Scenario.plan_file with
-    | None -> Ok None
-    | Some path -> Result.map Option.some (Chaos.Plan.of_file path)
-  with
+  match Scenario.load_plan tc with
   | Error e ->
       prerr_endline ("error: " ^ e);
       1
@@ -911,30 +899,13 @@ let traffic (c : common) (tc : Scenario.traffic) =
               1
           | Ok () ->
               with_jobs c (fun pool ->
-                  let env =
-                    Spec.to_env ?pool c
-                    |> (match tc.Scenario.capacity with
-                       | Some r -> Flood.Env.with_link_capacity r
-                       | None -> Fun.id)
-                    |> (match tc.Scenario.queue_cap with
-                       | Some q -> Flood.Env.with_queue_cap q
-                       | None -> Fun.id)
-                    |> (match tc.Scenario.queue_policy with
-                       | Some p -> Flood.Env.with_queue_policy p
-                       | None -> Fun.id)
-                    |>
-                    if tc.Scenario.bands > 1 then Flood.Env.with_bands tc.Scenario.bands
-                    else Fun.id
-                  in
+                  let env = Spec.to_env ?pool c |> Scenario.with_traffic tc in
                   match Traffic.Driver.run_csr_env ~env ?plan ~csr ~workload () with
                   | exception Invalid_argument msg ->
                       prerr_endline ("error: " ^ msg);
                       1
                   | r ->
-                      let slo_ok =
-                        r.Traffic.Driver.delivery_fraction +. 1e-9 >= tc.Scenario.min_delivery
-                        && r.Traffic.Driver.p95_delay <= tc.Scenario.max_p95
-                      in
+                      let slo_ok = Scenario.slo_ok tc r in
                       (match c.metrics with
                       | Some `Json ->
                           print_string

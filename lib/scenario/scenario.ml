@@ -231,6 +231,18 @@ type outcome = {
 let slo_ok (tc : traffic) (r : Driver.result) =
   r.Driver.delivery_fraction +. 1e-9 >= tc.min_delivery && r.Driver.p95_delay <= tc.max_p95
 
+let load_plan (tc : traffic) =
+  match tc.plan_file with
+  | None -> Ok None
+  | Some path -> Result.map Option.some (Chaos.Plan.of_file path)
+
+let with_traffic (tc : traffic) env =
+  env
+  |> (match tc.capacity with Some r -> Flood.Env.with_link_capacity r | None -> Fun.id)
+  |> (match tc.queue_cap with Some q -> Flood.Env.with_queue_cap q | None -> Fun.id)
+  |> (match tc.queue_policy with Some p -> Flood.Env.with_queue_policy p | None -> Fun.id)
+  |> if tc.bands > 1 then Flood.Env.with_bands tc.bands else Fun.id
+
 let load_trace (cc : controller) ~(spec : Spec.t) ~family =
   match cc.trace_file with
   | Some path -> (
@@ -260,11 +272,7 @@ let run ?obs ?pool t =
   let family = Option.get (family_of_topology spec.Spec.topology) in
   let* chaos = controller_chaos t.controller ~seed:spec.Spec.seed in
   let* trace = load_trace t.controller ~spec ~family in
-  let* plan =
-    match t.traffic.plan_file with
-    | None -> Ok None
-    | Some path -> Result.map Option.some (Chaos.Plan.of_file path)
-  in
+  let* plan = load_plan t.traffic in
   let* ctrl =
     Result.map_error Overlay.Error.to_string
       (Controller.create ?pool ?chaos ~family ~k:spec.Spec.k ~n:spec.Spec.n ())
@@ -289,19 +297,7 @@ let run ?obs ?pool t =
       (Workload.resolve_sources t.traffic.workload ~n:spec.Spec.n)
       t.traffic.workload
   in
-  let env =
-    Spec.to_env ?obs ?pool spec
-    |> (match t.traffic.capacity with
-       | Some r -> Flood.Env.with_link_capacity r
-       | None -> Fun.id)
-    |> (match t.traffic.queue_cap with
-       | Some q -> Flood.Env.with_queue_cap q
-       | None -> Fun.id)
-    |> (match t.traffic.queue_policy with
-       | Some p -> Flood.Env.with_queue_policy p
-       | None -> Fun.id)
-    |> if t.traffic.bands > 1 then Flood.Env.with_bands t.traffic.bands else Fun.id
-  in
+  let env = Spec.to_env ?obs ?pool spec |> with_traffic t.traffic in
   match Driver.run_csr_env ~env ?plan ~reconfig ~csr ~workload () with
   | exception Invalid_argument msg -> Error msg
   | result ->

@@ -89,6 +89,20 @@ val validate_traffic : traffic -> n:int -> (unit, string) result
     a queue cap of at least 1, and a workload valid for [n]. Error
     strings name the CLI flag. *)
 
+val load_plan : traffic -> (Chaos.Plan.t option, string) result
+(** The mid-stream chaos plan [plan_file] names, if any; [Error]
+    carries the file or parse error. Shared by the [traffic] and
+    [scenario] subcommands. *)
+
+val with_traffic : traffic -> Flood.Env.t -> Flood.Env.t
+(** The env with the traffic group's link capacity, queue cap and queue
+    policy installed where given, and its band count when above one.
+    Shared by the [traffic] and [scenario] subcommands. *)
+
+val slo_ok : traffic -> Traffic.Driver.result -> bool
+(** The traffic group's SLOs: delivery fraction at least [min_delivery]
+    (within 1e-9) and p95 delay at most [max_p95]. *)
+
 val validate_controller : controller -> (unit, string) result
 (** The controller flag group's checks, shared by the [controller]
     and [scenario] subcommands: a batch of at least 1, a non-negative
