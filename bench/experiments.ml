@@ -274,6 +274,15 @@ let f7 () =
     [ 32; 128; 512 ];
   print_endline "(Harary's gap decays like 1/n^2 - the spectral reading of its linear diameter)"
 
+(* A multi-origin flood: one chunk from each source, all entering
+   together (at t = 1, the periodic arrival at rate 1). *)
+let multi_flood ~env ~csr sources =
+  let workload =
+    Traffic.Workload.default |> Traffic.Workload.with_sources sources
+    |> Traffic.Workload.with_chunks_per_source 1 |> Traffic.Workload.with_rate 1.0
+  in
+  Traffic.Driver.run_csr_env ~env ~csr ~workload ()
+
 (* F8: reliable broadcast under message loss — certainty restored by
    anti-entropy, and its price. *)
 let f8 () =
@@ -281,7 +290,7 @@ let f8 () =
   let n = 200 and k = 4 in
   let csr = lhg_csr ~n:(n + 2) ~k in
   let pubs =
-    List.init 5 (fun i -> { Flood.Multi.origin = i * 11; inject_time = 0.0; payload_id = i })
+    List.init 5 (fun i -> { Flood.Reliable.origin = i * 11; inject_time = 0.0; payload_id = i })
   in
   Printf.printf "%8s | %12s | %10s %12s %12s %18s\n" "loss" "flood-only" "complete" "t-complete"
     "flood msgs" "repair@complete";
@@ -289,11 +298,9 @@ let f8 () =
     (fun loss ->
       (* flood-only baseline: fraction of (node, payload) delivered *)
       let base =
-        let r = Flood.Multi.run_env ~env:(Flood.Env.make ~loss_rate:loss ~seed:3 ()) ~csr ~publications:pubs () in
-        let total =
-          List.fold_left (fun acc s -> acc + s.Flood.Multi.delivered_count) 0 r.Flood.Multi.per_message
-        in
-        float_of_int total /. float_of_int (Csr.n csr * 5)
+        let env = Flood.Env.make ~loss_rate:loss ~seed:3 () in
+        (multi_flood ~env ~csr (List.map (fun p -> p.Flood.Reliable.origin) pubs))
+          .Traffic.Driver.delivery_fraction
       in
       let r =
         Flood.Reliable.run_env ~env:(Flood.Env.make ~loss_rate:loss ~seed:3 ()) ~csr ~publications:pubs ~anti_entropy_period:3.0 ~duration:2000.0 ()
@@ -392,24 +399,19 @@ let f10 () =
 let f11 () =
   header "F11  24 concurrent broadcasts under receiver contention (processing delay 0.5)";
   let n = 512 in
-  let pubs =
-    List.init 24 (fun i -> { Flood.Multi.origin = i * 21; inject_time = 0.0; payload_id = i })
-  in
+  let sources = List.init 24 (fun i -> i * 21) in
   Printf.printf "%14s %8s %10s | %12s %14s %14s\n" "topology" "edges" "max-deg" "plain mean"
     "contended mean" "contended max";
   List.iter
     (fun (name, g) ->
       let mean_completion r =
-        let cs = List.map (fun s -> s.Flood.Multi.completion) r.Flood.Multi.per_message in
-        List.fold_left ( +. ) 0.0 cs /. float_of_int (List.length cs)
+        let cs = r.Traffic.Driver.completions in
+        Array.fold_left ( +. ) 0.0 cs /. float_of_int (Array.length cs)
       in
-      let max_completion r =
-        List.fold_left (fun acc s -> Float.max acc s.Flood.Multi.completion) 0.0
-          r.Flood.Multi.per_message
-      in
+      let max_completion r = Array.fold_left Float.max 0.0 r.Traffic.Driver.completions in
       let csr = Csr.of_graph g in
-      let plain = Flood.Multi.run_env ~env:Flood.Env.default ~csr ~publications:pubs () in
-      let contended = Flood.Multi.run_env ~env:(Flood.Env.make ~processing_delay:0.5 ()) ~csr ~publications:pubs () in
+      let plain = multi_flood ~env:Flood.Env.default ~csr sources in
+      let contended = multi_flood ~env:(Flood.Env.make ~processing_delay:0.5 ()) ~csr sources in
       let s = Degree.stats g in
       Printf.printf "%14s %8d %10d | %12.1f %14.1f %14.1f\n" name (Graph.m g) s.Degree.max_degree
         (mean_completion plain) (mean_completion contended) (max_completion contended))

@@ -4,11 +4,11 @@
     capacity and queueing, static faults, seed, engine, registry,
     pool — into one value with a {!default} and [with_*] builders, so
     experiment drivers configure once and thread one value through
-    {!Flooding.run_csr_env}, {!Multi.run_env}, {!Reliable.run_env},
-    {!Gossip.run_env}, {!Pif.run_env}, {!Trees.run_env} and
-    {!Runner.flood_trials_env} — and so the chaos auditor can inject a
-    fault plan into any protocol without that protocol knowing what a
-    plan is (the [prepare] hook).
+    {!Flooding.run_csr_env}, {!Reliable.run_env}, {!Gossip.run_env},
+    {!Pif.run_env}, {!Runner.flood_trials_env} and the multi-chunk
+    stream engine {!Traffic.Driver.run_csr_env} — and so the chaos
+    auditor can inject a fault plan into any protocol without that
+    protocol knowing what a plan is (the [prepare] hook).
 
     Every entry point takes the topology as a frozen
     {!Graph_core.Csr.t}: the caller freezes once and runs as often as

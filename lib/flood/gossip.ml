@@ -12,6 +12,16 @@ type result = {
 let default_ttl ~n =
   if n <= 1 then 1 else int_of_float (ceil (log (float_of_int n) /. log 2.0)) + 4
 
+let push ~net ~rng ~fanout v msg =
+  let csr = Network.csr net in
+  let off = Graph_core.Csr.offsets csr and nbr = Graph_core.Csr.neighbor_array csr in
+  let row = off.{v} in
+  let deg = off.{v + 1} - row in
+  if deg > 0 then
+    List.iter
+      (fun i -> Network.send_int net ~src:v ~dst:nbr.{row + i} ~eidx:(row + i) msg)
+      (Prng.sample_without_replacement rng ~k:(min fanout deg) ~n:deg)
+
 let run_env ~env ~csr ~source ~fanout ~ttl () =
   if fanout < 1 then invalid_arg "Gossip.run: fanout < 1";
   if ttl < 1 then invalid_arg "Gossip.run: ttl < 1";
@@ -25,25 +35,16 @@ let run_env ~env ~csr ~source ~fanout ~ttl () =
   let rng = Sim.fork_rng sim in
   let delivered = Array.make n false in
   let delivery_time = Array.make n (-1.0) in
-  let off = Graph_core.Csr.offsets csr and nbr = Graph_core.Csr.neighbor_array csr in
-  let push v ~ttl =
-    let deg = off.{v + 1} - off.{v} in
-    if deg > 0 then begin
-      let picks = min fanout deg in
-      let chosen = Prng.sample_without_replacement rng ~k:picks ~n:deg in
-      (* the message is the remaining TTL *)
-      List.iter (fun i -> Network.send net ~src:v ~dst:nbr.{off.{v} + i} ttl) chosen
-    end
-  in
+  (* the message is the remaining TTL *)
   Network.set_receiver net (fun ~dst ~src:_ ttl ->
       if not delivered.(dst) then begin
         delivered.(dst) <- true;
         delivery_time.(dst) <- Sim.now sim;
-        if ttl > 1 then push dst ~ttl:(ttl - 1)
+        if ttl > 1 then push ~net ~rng ~fanout dst (ttl - 1)
       end);
   delivered.(source) <- true;
   delivery_time.(source) <- 0.0;
-  push source ~ttl;
+  push ~net ~rng ~fanout source ttl;
   Sim.run sim;
   let alive = Network.alive_mask net in
   let alive_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 alive in

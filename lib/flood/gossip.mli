@@ -30,5 +30,14 @@ val run_env :
     and the [gossip.coverage]/[gossip.completion_time] gauges on top of
     the network-layer [net.*] metrics. *)
 
+val push : net:Netsim.Network.t -> rng:Graph_core.Prng.t -> fanout:int -> int -> int -> unit
+(** [push ~net ~rng ~fanout v msg] sends [msg] from [v] to
+    [min fanout (degree v)] neighbours drawn uniformly without
+    replacement from [rng], each through {!Netsim.Network.send_int} on
+    the neighbour's row slot. The one gossip relay: {!run_env} pushes
+    the remaining TTL with it, and {!Traffic.Driver}'s [Gossip]
+    dissemination a chunk id and TTL packed into one int.
+    @raise Invalid_argument if [v] is crashed. *)
+
 val default_ttl : n:int -> int
 (** ⌈log₂ n⌉ + 4 — enough rounds for gossip to plausibly saturate. *)

@@ -2,6 +2,8 @@ module Prng = Graph_core.Prng
 module Sim = Netsim.Sim
 module Network = Netsim.Network
 
+type publication = { origin : int; inject_time : float; payload_id : int }
+
 type result = {
   delivered_fraction : float;
   complete : bool;
@@ -28,15 +30,14 @@ let run_env ~env ~csr ~publications ~anti_entropy_period ~duration () =
   let crashed = env.Env.crashed in
   let obs = env.Env.obs in
   let n = Graph_core.Csr.n csr in
-  let ids = List.map (fun (p : Multi.publication) -> p.Multi.payload_id) publications in
+  let ids = List.map (fun (p : publication) -> p.payload_id) publications in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Reliable.run: duplicate payload ids";
   List.iter
-    (fun (p : Multi.publication) ->
-      if p.Multi.origin < 0 || p.Multi.origin >= n then
-        invalid_arg "Reliable.run: origin out of range";
-      if List.mem p.Multi.origin crashed then invalid_arg "Reliable.run: origin is crashed";
-      if p.Multi.inject_time < 0.0 then invalid_arg "Reliable.run: negative injection time")
+    (fun (p : publication) ->
+      if p.origin < 0 || p.origin >= n then invalid_arg "Reliable.run: origin out of range";
+      if List.mem p.origin crashed then invalid_arg "Reliable.run: origin is crashed";
+      if p.inject_time < 0.0 then invalid_arg "Reliable.run: negative injection time")
     publications;
   let sim = Env.sim_of env in
   let net = Env.network_of_csr env ~sim ~csr in
@@ -81,7 +82,7 @@ let run_env ~env ~csr ~publications ~anti_entropy_period ~duration () =
     send_repair ~src ~dst (encode kind_data i)
   in
   let record v i =
-    let id = pubs.(i).Multi.payload_id in
+    let id = pubs.(i).payload_id in
     if holds v id then false
     else begin
       Hashtbl.replace has.(v) id i;
@@ -112,9 +113,9 @@ let run_env ~env ~csr ~publications ~anti_entropy_period ~duration () =
       else if record dst x then forward dst ~except:src x);
   (* flooding phase: inject publications *)
   Array.iteri
-    (fun i (p : Multi.publication) ->
-      Sim.schedule_at sim ~time:p.Multi.inject_time (fun () ->
-          if record p.Multi.origin i then forward p.Multi.origin ~except:(-1) i))
+    (fun i (p : publication) ->
+      Sim.schedule_at sim ~time:p.inject_time (fun () ->
+          if record p.origin i then forward p.origin ~except:(-1) i))
     pubs;
   (* anti-entropy timers, phase-shifted per node *)
   let digest_of v = Hashtbl.fold (fun id _ acc -> id :: acc) has.(v) [] in

@@ -10,6 +10,10 @@
     experiment of interest is the time/message price of that certainty
     as the loss rate grows. *)
 
+(** One payload to broadcast: its origin node, when it enters, and its
+    id, distinct per publication (anti-entropy digests carry ids). *)
+type publication = { origin : int; inject_time : float; payload_id : int }
+
 type result = {
   delivered_fraction : float;
       (** delivered (node, payload) pairs over alive nodes × payloads at
@@ -27,7 +31,7 @@ type result = {
 val run_env :
   env:Env.t ->
   csr:Graph_core.Csr.t ->
-  publications:Multi.publication list ->
+  publications:publication list ->
   anti_entropy_period:float ->
   duration:float ->
   unit ->
@@ -36,8 +40,7 @@ val run_env :
     environment — the sole entry point (see {!Env} for the Env-only
     contract). Every {!Env.t} field except [pool] is consumed.
     Anti-entropy ticks start phase-shifted per node to avoid
-    synchronisation artefacts. Same argument validation as
-    {!Multi.run_env}. With an enabled [env.obs], publishes the
+    synchronisation artefacts. With an enabled [env.obs], publishes the
     [reliable.flood_messages]/[reliable.repair_messages] counters,
     the [reliable.delivered_fraction]/[reliable.completion_time]
     gauges, and a [Retransmit] span event per anti-entropy [Data]
@@ -47,4 +50,7 @@ val run_env :
     the protocol whose anti-entropy actually repairs chaos-plan
     recoveries, but a node crashed by a plan mid-run keeps its
     obligations (the run then reports [complete = false] unless repair
-    reaches it after recovery). *)
+    reaches it after recovery).
+    @raise Invalid_argument on a non-positive period or duration,
+    duplicate payload ids, crashed or out-of-range origins, or negative
+    injection times. *)

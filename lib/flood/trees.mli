@@ -1,4 +1,4 @@
-(** Spanning-tree broadcast with flood fallback, on the int payload
+(** The spanning-tree relay with flood fallback, on the int payload
     plane.
 
     Where flooding pushes every chunk over every edge (O(2m) messages),
@@ -18,16 +18,9 @@
     without that, tree-covered nodes would absorb the fallback flood
     and starve the subtree behind the dead edge. Delivery under any
     fault pattern that keeps the alive graph connected thus degrades to
-    the flood bound instead of losing the subtree. *)
-
-type result = {
-  delivered : bool array;
-  messages_sent : int;  (** n−1 on a clean run; flood-bounded after fallbacks *)
-  fallbacks : int;  (** escalations to flood mode (0 = pure tree routing) *)
-  tree_count : int;  (** trees in the packing used *)
-  completion_time : float;
-  coverage_of_alive : float;
-}
+    the flood bound instead of losing the subtree. The receiving side —
+    first-delivery dedup and the once-per-node flagged relay — is the
+    caller's: {!Traffic.Driver} keeps both planes per (chunk, node). *)
 
 val encode : chunk:int -> flood:bool -> int
 (** Pack a chunk id and the escalation flag into one payload word:
@@ -48,22 +41,7 @@ val forward :
 (** One forwarding step: send [chunk] to every child of [node] in
     [tree], or — if any child link is unusable right now — escalate to
     a flood burst to all neighbours except [parent] ([-1] at the
-    source). Returns the number of escalations (0 or 1). The building
-    block {!Traffic.Driver} stripes with; {!run_env} wraps it for a
-    single broadcast. *)
-
-val run_env :
-  env:Env.t ->
-  csr:Graph_core.Csr.t ->
-  source:int ->
-  ?count:int ->
-  ?tree:int ->
-  ?pack:Graph_core.Tree_pack.t ->
-  unit ->
-  result
-(** Broadcast one chunk from [source] down tree [?tree] (default 0) of
-    a [?count]-tree packing (default {!Graph_core.Tree_pack.default_count}),
-    under the environment's faults, capacity and engine. [?pack] reuses
-    a precomputed packing (must be rooted at [source]).
-    @raise Invalid_argument if [source] is out of range or crashed, the
-    pack is for another source, or [tree] is out of range. *)
+    source). Returns the number of escalations (0 or 1). This is the
+    one tree relay: {!Traffic.Driver}'s [Trees] dissemination stripes
+    chunks over the packed trees with it, and a single broadcast is a
+    driver run with one source and one chunk. *)

@@ -12,8 +12,6 @@ let min_degree_vertex csr =
   done;
   !best
 
-let min_degree csr = Csr.degree csr (min_degree_vertex csr)
-
 let is_complete csr =
   let nv = Csr.n csr in
   Csr.m csr = nv * (nv - 1) / 2
@@ -318,7 +316,7 @@ let edge_workspace p =
 let is_k_edge_connected_csr ?pool csr ~k =
   if k < 0 then invalid_arg "Connectivity.is_k_edge_connected: negative k";
   if k = 0 then Csr.n csr > 0
-  else if Csr.n csr <= 1 || min_degree csr < k then false
+  else if Csr.n csr <= 1 || Csr.min_degree csr < k then false
   else begin
     let p = prefix_order csr in
     let rev = reverse_slots p in
@@ -330,7 +328,7 @@ let is_k_edge_connected ?pool g ~k = is_k_edge_connected_csr ?pool (Csr.of_graph
 let is_k_vertex_connected_csr ?pool csr ~k =
   if k < 0 then invalid_arg "Connectivity.is_k_vertex_connected: negative k";
   if k = 0 then Csr.n csr > 0
-  else if Csr.n csr < k + 1 || min_degree csr < k then false
+  else if Csr.n csr < k + 1 || Csr.min_degree csr < k then false
   else begin
     let p = prefix_order csr in
     all_probes ?pool ~nv:(Csr.n csr) ~create:(fun () -> vertex_workspace csr) (vertex_probe csr p ~k)

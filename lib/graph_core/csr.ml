@@ -100,6 +100,17 @@ let neighbor_array t = t.neighbors
 
 let degree_sum t = get t.offsets t.n
 
+let min_degree t =
+  if t.n = 0 then 0
+  else begin
+    let md = ref max_int in
+    for v = 0 to t.n - 1 do
+      let d = get t.offsets (v + 1) - get t.offsets v in
+      if d < !md then md := d
+    done;
+    !md
+  end
+
 (* -- direct construction ------------------------------------------------ *)
 
 module Builder = struct

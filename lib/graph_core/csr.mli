@@ -68,6 +68,9 @@ val neighbor_array : t -> bigints
 val degree_sum : t -> int
 (** Sum of degrees = [2 * m]. O(1). *)
 
+val min_degree : t -> int
+(** The smallest vertex degree δ, [0] for the empty graph. O(n). *)
+
 (** Direct CSR construction, skipping the Set-backed {!Graph.t}
     entirely — the path that makes million-node topologies cheap.
     Callers enumerate their edges twice:

@@ -87,19 +87,7 @@ let edges t ~tree =
   done;
   !acc
 
-let min_degree csr =
-  let n = Csr.n csr in
-  if n = 0 then 0
-  else begin
-    let md = ref max_int in
-    for v = 0 to n - 1 do
-      let d = Csr.degree csr v in
-      if d < !md then md := d
-    done;
-    !md
-  end
-
-let default_count csr = max 1 (min_degree csr / 2)
+let default_count csr = max 1 (Csr.min_degree csr / 2)
 
 (* undirected edge endpoints and the slot→edge-id map — the shared
    setup of [pack] and [patch] *)

@@ -68,16 +68,13 @@ type t = {
   queue_cap : int;  (** max backlog per directed link {e per band}, in-service message included *)
   queue_policy : queue_policy;
   bands : int;  (** priority bands on the FIFO plane; band 0 is highest *)
-  band_service : float array;
-      (** per-band service time = [service /. weight] (length [bands];
-          empty when [cap_on] is false) *)
   mutable send_band : int;  (** band stamped on subsequent sends *)
   nslots : int;  (** [Csr.degree_sum csr] — the per-band stride of [link_free] *)
   link_free : float array;
       (** per-band, per-directed-edge (index [band * nslots + slot])
           time the band's share of the link finishes its current
           backlog; occupancy is implicit —
-          [ceil ((free - now) / band_service)] — so a bounded FIFO
+          [ceil ((free - now) / service)] — so a bounded FIFO
           costs no events and no allocation *)
   link_peak : int array;
       (** band-major high-water mark of the occupancy seen by arrivals
@@ -229,7 +226,7 @@ let handle t ~src ~dst ~tag ~payload =
 
 let create ~sim ~csr ?latency ?(loss_rate = 0.0)
     ?(processing_delay = 0.0) ?link_capacity ?(queue_cap = max_int)
-    ?(queue_policy = Drop_tail) ?(bands = 1) ?band_weights ?trace
+    ?(queue_policy = Drop_tail) ?(bands = 1) ?trace
     ?(obs = Obs.Registry.nil) () =
   (* written so that a NaN fails too *)
   if not (loss_rate >= 0.0 && loss_rate < 1.0) then
@@ -245,16 +242,6 @@ let create ~sim ~csr ?latency ?(loss_rate = 0.0)
   if queue_cap < 1 then invalid_arg "Network.create: queue_cap must be at least 1";
   if bands < 1 || bands > max_bands then
     invalid_arg (Printf.sprintf "Network.create: bands must be in [1, %d]" max_bands);
-  (match band_weights with
-  | None -> ()
-  | Some w ->
-      if Array.length w <> bands then
-        invalid_arg "Network.create: band_weights length must equal bands";
-      Array.iter
-        (fun x ->
-          if not (x > 0.0) || not (Float.is_finite x) then
-            invalid_arg "Network.create: band weights must be positive finite")
-        w);
   let cap_on = capacity > 0.0 in
   let service = if cap_on then 1.0 /. capacity else 0.0 in
   let nslots = Csr.degree_sum csr in
@@ -275,12 +262,6 @@ let create ~sim ~csr ?latency ?(loss_rate = 0.0)
       queue_cap;
       queue_policy;
       bands;
-      band_service =
-        (if not cap_on then [||]
-         else
-           match band_weights with
-           | None -> Array.make bands service
-           | Some w -> Array.map (fun x -> service /. x) w);
       (* default to the lowest band: data traffic needs no opt-in, and a
          control plane opts {e up} around each burst via set_send_band *)
       send_band = bands - 1;
@@ -412,10 +393,7 @@ let set_loss_rate t r =
    the control band. *)
 let[@inline] link_backlog_band t ~band ~eidx ~now =
   let free = Array.unsafe_get t.link_free ((band * t.nslots) + eidx) in
-  if free > now then
-    int_of_float
-      (Float.ceil (((free -. now) /. Array.unsafe_get t.band_service band) -. 1e-9))
-  else 0
+  if free > now then int_of_float (Float.ceil (((free -. now) /. t.service) -. 1e-9)) else 0
 
 (* one more admitted arrival that found [backlog] ahead of it *)
 let[@inline] tally_backlog t backlog =
@@ -448,7 +426,7 @@ let[@inline] link_admit t ~band ~eidx ~now =
       let f = Array.unsafe_get t.link_free ((b * t.nslots) + eidx) in
       if f > !start then start := f
     done;
-    let depart = !start +. Array.unsafe_get t.band_service band in
+    let depart = !start +. t.service in
     Array.unsafe_set t.link_free slot depart;
     depart
   end

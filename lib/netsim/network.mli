@@ -54,11 +54,9 @@
     band's delay is bounded by at most the one message already in
     service, the standard non-preemptive priority model. Order within
     a band stays FIFO; [queue_cap] bounds each band separately (a
-    saturated bulk band cannot drop-tail the control band); and
-    [?band_weights] (one positive factor per band) scales each band's
-    service rate — weight [w] serves [w × link_capacity] messages per
-    time unit, a weighted-fair knob on top of the strict priorities.
-    Per-band deliveries and drops are reported by {!band_stats}.
+    saturated bulk band cannot drop-tail the control band); and every
+    band serves [link_capacity] messages per time unit. Per-band
+    deliveries and drops are reported by {!band_stats}.
 
     The whole plane keeps the zero-event discipline — one float per
     (band, directed edge) — and stays byte-identical across engines.
@@ -158,7 +156,6 @@ val create :
   ?queue_cap:int ->
   ?queue_policy:queue_policy ->
   ?bands:int ->
-  ?band_weights:float array ->
   ?trace:Trace.t ->
   ?obs:Obs.Registry.t ->
   unit ->
@@ -204,14 +201,12 @@ val create :
     [net.link_queue] histogram records the occupancy seen by each
     admitted message.
 
-    [?bands] (default 1) and [?band_weights] configure the strict-
-    priority / weighted queueing plane — see the priority-bands section
-    above.
+    [?bands] (default 1) configures the strict-priority queueing
+    plane — see the priority-bands section above.
     @raise Invalid_argument if [loss_rate] is outside [\[0, 1)] or NaN,
     [processing_delay] is negative, NaN or infinite, [link_capacity] is
-    not a positive finite rate, [queue_cap < 1], [bands] is outside
-    [\[1, 4\]], or [band_weights] has the wrong length or a
-    non-positive entry. *)
+    not a positive finite rate, [queue_cap < 1], or [bands] is outside
+    [\[1, 4\]]. *)
 
 val csr : t -> Graph_core.Csr.t
 (** The frozen topology snapshot every send checks against. *)

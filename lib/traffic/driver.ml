@@ -29,6 +29,7 @@ type result = {
   tree_fallbacks : int;
   tree_fallback_bursts : int;
   recovery_time : float;
+  completions : float array;
   epochs_applied : int;
   restripe_patched : int;
   restripe_repacked : int;
@@ -303,33 +304,13 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
             mark idx bit_flooded (Char.code (Bytes.unsafe_get seen idx))
           end
     | Workload.Gossip ->
-        (* push gossip at the snapshot's min-degree fanout with the
-           standard log2(n)+4 TTL: the randomized baseline, one int per
-           message like the others (chunk * (ttl_limit+1) + ttl) *)
-        let off = Csr.offsets csr and nbr = Csr.neighbor_array csr in
-        let fanout =
-          let md = ref max_int in
-          for v = 0 to n - 1 do
-            let d = off.{v + 1} - off.{v} in
-            if d < !md then md := d
-          done;
-          max 1 !md
-        in
+        (* Flood.Gossip's push at the snapshot's min-degree fanout with
+           the standard log2(n)+4 TTL: the randomized baseline, one int
+           per message like the others (chunk * (ttl_limit+1) + ttl) *)
+        let fanout = max 1 (Csr.min_degree csr) in
         let ttl_limit = Flood.Gossip.default_ttl ~n in
         let base = ttl_limit + 1 in
         let rng = Sim.fork_rng sim in
-        let push_gossip v ~chunk ~ttl =
-          let deg = off.{v + 1} - off.{v} in
-          if deg > 0 then begin
-            let picks = min fanout deg in
-            let chosen = Prng.sample_without_replacement rng ~k:picks ~n:deg in
-            List.iter
-              (fun i ->
-                let e = off.{v} + i in
-                Network.send_int net ~src:v ~dst:nbr.{e} ~eidx:e ((chunk * base) + ttl))
-              chosen
-          end
-        in
         set_recv (fun ~dst ~src:_ payload ->
             let chunk = payload / base in
             let ttl = payload mod base in
@@ -337,9 +318,9 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
             if Bytes.unsafe_get seen idx = '\000' then begin
               Bytes.unsafe_set seen idx '\001';
               record chunk;
-              if ttl > 1 then push_gossip dst ~chunk ~ttl:(ttl - 1)
+              if ttl > 1 then Flood.Gossip.push ~net ~rng ~fanout dst ((chunk * base) + ttl - 1)
             end);
-        fun g src -> push_gossip src ~chunk:g ~ttl:ttl_limit
+        fun g src -> Flood.Gossip.push ~net ~rng ~fanout src ((g * base) + ttl_limit)
   in
   (* Control plane: when the network has priority bands, each epoch
      commit floods a band-0 notice through the live topology so the
@@ -535,6 +516,9 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     tree_fallbacks = !fallbacks;
     tree_fallback_bursts = !fallback_bursts;
     recovery_time;
+    completions =
+      Array.init total (fun g ->
+          if injected.(g) then last_delivery.(g) -. inject_time.(g) else -1.0);
     epochs_applied = !epochs_applied;
     restripe_patched = !restripe_patched;
     restripe_repacked = !restripe_repacked;

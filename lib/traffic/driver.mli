@@ -85,6 +85,13 @@ type result = {
           loss rate / leave) — the time for the stream to run clean
           again. [-1] when there is no degrading event or no clean
           chunk afterwards. *)
+  completions : float array;
+      (** per chunk, source-major (chunk [j] of the [i]-th source at
+          [i × chunks_per_source + j]): its last first delivery minus
+          its injection time, [0] when no other node received it and
+          [-1] for a skipped chunk. One chunk per source makes the run
+          a multi-origin flood and this its per-origin completion.
+          {!emit} does not print it. *)
   epochs_applied : int;  (** reconfig commits that fired before the stream drained *)
   restripe_patched : int;
       (** (epoch, source) re-stripes {!Graph_core.Tree_pack.patch}

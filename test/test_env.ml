@@ -76,28 +76,22 @@ let test_capacity_reaches_network () =
     capped.Flood.Flooding.messages_sent;
   (* one flood puts at most one message on each directed link, so
      drop-tail needs concurrent payloads to bite: three simultaneous
-     publications through a slow tight queue must shed load *)
-  let pubs =
-    [
-      { Flood.Multi.origin = 0; inject_time = 0.0; payload_id = 0 };
-      { Flood.Multi.origin = 1; inject_time = 0.0; payload_id = 1 };
-      { Flood.Multi.origin = 2; inject_time = 0.0; payload_id = 2 };
-    ]
+     one-chunk streams through a slow tight queue must shed load *)
+  let multi env =
+    let workload =
+      Traffic.Workload.(
+        default |> with_sources [ 0; 1; 2 ] |> with_chunks_per_source 1 |> with_rate 1.0)
+    in
+    Traffic.Driver.run_csr_env ~env ~csr:(Csr.of_graph g) ~workload ()
   in
-  let reach r =
-    List.fold_left (fun acc m -> acc + m.Flood.Multi.delivered_count) 0 r.Flood.Multi.per_message
-  in
-  let wide = Flood.Multi.run_env ~env:(Env.make ~seed:3 ()) ~csr:(Csr.of_graph g) ~publications:pubs () in
+  let wide = multi (Env.make ~seed:3 ()) in
   let tight =
-    Flood.Multi.run_env
-      ~env:
-        (Env.default |> Env.with_seed 3
-        |> Env.with_link_capacity 0.05
-        |> Env.with_queue_cap 1)
-      ~csr:(Csr.of_graph g) ~publications:pubs ()
+    multi (Env.default |> Env.with_seed 3 |> Env.with_link_capacity 0.05 |> Env.with_queue_cap 1)
   in
-  check_bool "infinite links cover everything" true wide.Flood.Multi.all_covered;
-  check_bool "drop-tail sheds under pressure" true (reach tight < reach wide)
+  check_bool "infinite links cover everything" true wide.Traffic.Driver.all_covered;
+  check_bool "drop-tail sheds under pressure" true
+    (tight.Traffic.Driver.dropped_queue > 0
+    && tight.Traffic.Driver.deliveries < wide.Traffic.Driver.deliveries)
 
 let test_gossip_pif_validation () =
   let g = graph () in

@@ -31,7 +31,7 @@ let test_grown_overlay_full_stack () =
   check_bool "pif completes" true p.Flood.Pif.completed;
   (* reliable broadcast under heavy loss *)
   let r =
-    Flood.Reliable.run_env ~env:(Flood.Env.make ~loss_rate:0.3 ~seed:4 ()) ~csr:(Csr.of_graph g) ~publications:[ { Flood.Multi.origin = 0; inject_time = 0.0; payload_id = 1 } ] ~anti_entropy_period:2.0 ~duration:3000.0 ()
+    Flood.Reliable.run_env ~env:(Flood.Env.make ~loss_rate:0.3 ~seed:4 ()) ~csr:(Csr.of_graph g) ~publications:[ { Flood.Reliable.origin = 0; inject_time = 0.0; payload_id = 1 } ] ~anti_entropy_period:2.0 ~duration:3000.0 ()
   in
   check_bool "reliable completes" true r.Flood.Reliable.complete
 

@@ -1,72 +1,76 @@
+(* Multi-origin flooding: Traffic.Driver with one chunk per source (the
+   periodic arrival at rate 1 injects them all at t = 1), where each
+   chunk floods independently under per-(chunk, node) dedup. *)
+
 open Helpers
 module Graph = Graph_core.Graph
 module Generators = Graph_core.Generators
-module Multi = Flood.Multi
 module Flooding = Flood.Flooding
 module Csr = Graph_core.Csr
+module Workload = Traffic.Workload
+module Driver = Traffic.Driver
 
-let pub ?(t = 0.0) origin id = { Multi.origin; inject_time = t; payload_id = id }
+let run ?(env = Flood.Env.default) ?(chunks = 1) ?(rate = 1.0) g sources =
+  let workload =
+    Workload.default |> Workload.with_sources sources |> Workload.with_chunks_per_source chunks
+    |> Workload.with_rate rate
+  in
+  Driver.run_csr_env ~env ~csr:(Csr.of_graph g) ~workload ()
 
 let test_single_matches_flooding () =
   let g = petersen () in
-  let m = Multi.run_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~publications:[ pub 0 1 ] () in
+  let m = run g [ 0 ] in
   let f = Flooding.run_csr_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~source:0 () in
-  check_int "same total messages" f.Flooding.messages_sent m.Multi.total_messages;
-  match m.Multi.per_message with
-  | [ s ] ->
-      check_int "all delivered" 10 s.Multi.delivered_count;
-      Alcotest.(check (float 1e-9)) "same completion" f.Flooding.completion_time
-        s.Multi.completion;
-      check_bool "covers" true s.Multi.covers_all_alive
-  | _ -> Alcotest.fail "one stat expected"
+  check_int "same total messages" f.Flooding.messages_sent m.Driver.wire_messages;
+  check_int "all delivered" 10 (m.Driver.deliveries + 1);
+  Alcotest.(check (float 1e-9)) "same completion" f.Flooding.completion_time
+    m.Driver.completions.(0);
+  check_bool "covers" true m.Driver.all_covered
 
 let test_concurrent_publications () =
   let g = Generators.cycle 12 in
-  let pubs = [ pub 0 10; pub 6 20; pub 3 30 ] in
-  let m = Multi.run_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~publications:pubs () in
-  check_bool "all covered" true m.Multi.all_covered;
-  check_int "three stats" 3 (List.length m.Multi.per_message);
+  let m = run g [ 0; 6; 3 ] in
+  check_bool "all covered" true m.Driver.all_covered;
+  check_int "three completions" 3 (Array.length m.Driver.completions);
   (* each payload floods independently: 3x single cost *)
   let single = (Flood.Sync.flood_csr (Csr.of_graph g) ~source:0).Flood.Sync.messages in
-  check_int "3x messages" (3 * single) m.Multi.total_messages
+  check_int "3x messages" (3 * single) m.Driver.wire_messages
 
 let test_staggered_injection () =
   let g = Generators.cycle 8 in
-  let m = Multi.run_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~publications:[ pub ~t:0.0 0 1; pub ~t:10.0 4 2 ] () in
-  (match m.Multi.per_message with
-  | [ a; b ] ->
-      check_int "ids ordered" 1 a.Multi.payload_id;
-      check_int "ids ordered" 2 b.Multi.payload_id;
-      (* completion is injection-relative: both take the cycle's 4 rounds *)
-      Alcotest.(check (float 1e-9)) "first" 4.0 a.Multi.completion;
-      Alcotest.(check (float 1e-9)) "second relative" 4.0 b.Multi.completion
-  | _ -> Alcotest.fail "two stats");
-  check_bool "covered" true m.Multi.all_covered
+  (* two chunks per source at rate 0.1: injections at t = 10 and 20 *)
+  let m = run ~chunks:2 ~rate:0.1 g [ 0; 4 ] in
+  check_bool "sources in workload order" true (m.Driver.sources = [ 0; 4 ]);
+  (* completion is injection-relative: every chunk takes the cycle's 4 rounds *)
+  Array.iteri
+    (fun g c -> Alcotest.(check (float 1e-9)) (Printf.sprintf "chunk %d" g) 4.0 c)
+    m.Driver.completions;
+  check_bool "covered" true m.Driver.all_covered
 
 let test_crashes_affect_all_payloads () =
   let g = Generators.path_graph 5 in
-  let m = Multi.run_env ~env:(Flood.Env.make ~crashed:[ 2 ] ()) ~csr:(Csr.of_graph g) ~publications:[ pub 0 1; pub 4 2 ] () in
-  check_bool "neither covers" false m.Multi.all_covered;
-  List.iter
-    (fun s -> check_int "only own side" 2 s.Multi.delivered_count)
-    m.Multi.per_message
+  let m = run ~env:(Flood.Env.make ~crashed:[ 2 ] ()) g [ 0; 4 ] in
+  check_bool "neither covers" false m.Driver.all_covered;
+  (* each chunk reaches its own side only: the source and one neighbour *)
+  check_int "only own side" 2 m.Driver.deliveries;
+  check_bool "half the alive pairs" true (m.Driver.delivery_fraction = 0.5)
 
 let test_duplicate_ids_rejected () =
   let g = Generators.cycle 4 in
-  Alcotest.check_raises "dup ids" (Invalid_argument "Multi.run: duplicate payload ids")
-    (fun () -> ignore (Multi.run_env ~env:Flood.Env.default ~csr:(Csr.of_graph g) ~publications:[ pub 0 7; pub 1 7 ] ()))
+  Alcotest.check_raises "duplicate sources" (Invalid_argument "Traffic.run: duplicate sources")
+    (fun () -> ignore (run g [ 0; 0 ]))
 
 let test_crashed_origin_rejected () =
   let g = Generators.cycle 4 in
-  Alcotest.check_raises "crashed origin" (Invalid_argument "Multi.run: origin is crashed")
-    (fun () -> ignore (Multi.run_env ~env:(Flood.Env.make ~crashed:[ 1 ] ()) ~csr:(Csr.of_graph g) ~publications:[ pub 1 7 ] ()))
+  Alcotest.check_raises "crashed origin"
+    (Invalid_argument "Traffic.run: source 1 is crashed at t = 0") (fun () ->
+      ignore (run ~env:(Flood.Env.make ~crashed:[ 1 ] ()) g [ 1 ]))
 
 let test_many_publications_on_lhg () =
   let b = Lhg_core.Build.kdiamond_exn ~n:26 ~k:4 in
   let g = b.Lhg_core.Build.graph in
-  let pubs = List.init 10 (fun i -> pub ~t:(float_of_int i) (i * 2) i) in
-  let m = Multi.run_env ~env:(Flood.Env.make ~crashed:[ 25 ] ()) ~csr:(Csr.of_graph g) ~publications:pubs () in
-  check_bool "all covered despite crash" true m.Multi.all_covered
+  let m = run ~env:(Flood.Env.make ~crashed:[ 25 ] ()) g (List.init 10 (fun i -> i * 2)) in
+  check_bool "all covered despite crash" true m.Driver.all_covered
 
 let suite =
   [

@@ -1,10 +1,9 @@
 open Helpers
 module Generators = Graph_core.Generators
 module Reliable = Flood.Reliable
-module Multi = Flood.Multi
 module Csr = Graph_core.Csr
 
-let pub ?(t = 0.0) origin id = { Multi.origin; inject_time = t; payload_id = id }
+let pub ?(t = 0.0) origin id = { Reliable.origin; inject_time = t; payload_id = id }
 
 let test_lossless_completes_like_flood () =
   let g = petersen () in
